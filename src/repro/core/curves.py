@@ -30,9 +30,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.model.approx import approx_eq, is_zero
 
 
@@ -256,7 +253,7 @@ class CurveSet:
     quadratic in the breakpoint count.  ``CurveSet`` runs ``sum_curves``
     once and replays the forward and backward sweeps a single time,
     checkpointing the running ``(total, slope, position)`` state at every
-    breakpoint into NumPy arrays; evaluating at ``x`` is then a binary
+    breakpoint into plain lists; evaluating at ``x`` is then a binary
     search plus one multiply-add.
 
     Bit-exactness contract: each checkpoint is produced by the *same
@@ -271,19 +268,6 @@ class CurveSet:
 
     def __init__(self, curves: Sequence[DisplacementCurve]):
         self._compile(sum_curves(curves))
-
-    @classmethod
-    def from_total(cls, total: DisplacementCurve) -> "CurveSet":
-        """Compile an already-summed curve, skipping :func:`sum_curves`.
-
-        The SoA evaluation path assembles the summed curve directly from
-        arrays (bit-identical to what ``sum_curves`` would produce from
-        the per-cell factory curves); this constructor lets it reuse the
-        compiled sweeps without paying for curve objects it never built.
-        """
-        compiled = cls.__new__(cls)
-        compiled._compile(total)
-        return compiled
 
     def _compile(self, total: DisplacementCurve) -> None:
         self.total = total
@@ -350,21 +334,6 @@ class CurveSet:
         self._bwd_total = bwd_total
         self._bwd_slope = bwd_slope
         self._bwd_pos = bwd_pos
-        # NumPy mirrors of the checkpoint tables, built on first use:
-        # scalar probes (the guard's adjust_x walk) stay on the plain
-        # lists, batch queries amortize the array construction.
-        self._arrays: Optional[
-            Tuple[
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-            ]
-        ] = None
 
     def value(self, x: float) -> float:
         """Evaluate the summed curve at ``x`` (bit-equal to the reference)."""
@@ -378,54 +347,6 @@ class CurveSet:
             self._bwd_total[k] - self._bwd_slope[k] * (self._bwd_pos[k] - x)
         )
 
-    def values(
-        self, xs: "Sequence[float] | npt.NDArray[np.float64]"
-    ) -> npt.NDArray[np.float64]:
-        """Vectorized :meth:`value` over a batch of positions.
-
-        Accepts any array shape — 1-D probe lists and 2-D candidate
-        batches (``candidates x probes``, the shape the SoA evaluation
-        path feeds per window) evaluate through the same flattened
-        searchsorted pass and come back in the input shape.  Small
-        batches take the scalar path (the array round-trip costs more
-        than it saves below a few dozen points); both paths perform the
-        identical IEEE-754 multiply-add per point, so the results are
-        bit-equal regardless of which is taken.
-        """
-        points = np.asarray(xs, dtype=np.float64)
-        if points.size < 32:
-            flat = np.array(
-                [self.value(float(x)) for x in points.ravel()], dtype=np.float64
-            )
-            return flat.reshape(points.shape)
-        if self._arrays is None:
-            self._arrays = (
-                np.asarray(self._fwd_x),
-                np.asarray(self._fwd_total),
-                np.asarray(self._fwd_slope),
-                np.asarray(self._fwd_pos),
-                np.asarray(self._bwd_x_asc),
-                np.asarray(self._bwd_total),
-                np.asarray(self._bwd_slope),
-                np.asarray(self._bwd_pos),
-            )
-        fwd_x, fwd_total, fwd_slope, fwd_pos, bwd_x, bwd_total, bwd_slope, bwd_pos = (
-            self._arrays
-        )
-        flat_points = points.ravel()
-        forward = flat_points >= self._anchor_x
-        out = np.empty(flat_points.shape, dtype=np.float64)
-        if forward.any():
-            fx = flat_points[forward]
-            js = np.searchsorted(fwd_x, fx, side="left")
-            out[forward] = fwd_total[js] + fwd_slope[js] * (fx - fwd_pos[js])
-        backward = ~forward
-        if backward.any():
-            bx = flat_points[backward]
-            ks = self._bwd_count - np.searchsorted(bwd_x, bx, side="right")
-            out[backward] = bwd_total[ks] - bwd_slope[ks] * (bwd_pos[ks] - bx)
-        return out.reshape(points.shape)
-
     def minimize(self, lo: float, hi: float) -> Optional[Tuple[int, float]]:
         """Exactly :func:`minimize_over_sites`, using the compiled tables."""
         lo_site = math.ceil(lo)
@@ -437,13 +358,12 @@ class CurveSet:
             for candidate in (math.floor(bp_x), math.ceil(bp_x)):
                 if lo_site <= candidate <= hi_site:
                     candidates.add(candidate)
-        ordered = sorted(candidates)
-        costs = self.values(ordered)
         best_x: Optional[int] = None
         best_cost = math.inf
-        for x, cost in zip(ordered, costs):
+        for x in sorted(candidates):
+            cost = self.value(x)
             if cost < best_cost - 1e-12:
-                best_cost = float(cost)
+                best_cost = cost
                 best_x = x
         assert best_x is not None
         return best_x, best_cost

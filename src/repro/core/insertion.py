@@ -696,15 +696,14 @@ class InsertionContext:
         right_limit: float,
         left_offsets: Dict[int, int],
         left_limit: float,
-        vectorized: bool = False,
     ) -> Optional[EvaluatedInsertion]:
-        """Shared tail of both backends: curves, minimize, guard, moves.
+        """Scalar tail of the evaluation: curves, minimize, guard, moves.
 
         The offsets dicts must be in push order (right side outward-
         ascending, left side outward-descending): curve summation is a
         float accumulation in curve order, so dict order is part of the
-        bit-equality contract.  ``vectorized`` only switches the guard to
-        its batched (but walk-identical) probe path.
+        bit-equality contract the vector backend's one-pass twin
+        (:meth:`repro.core.soa.VectorEvaluator._finish_fast`) keeps.
         """
         lo = left_limit
         hi = right_limit
@@ -749,69 +748,49 @@ class InsertionContext:
         # One compiled curve set serves both the site minimization and the
         # guard's repeated cost probes; its value() performs bit-identical
         # arithmetic to DisplacementCurve.value on the summed curve.
-        return self.finish_with_compiled(
-            bottom_row, gaps, right_offsets, left_offsets,
-            lo, hi, CurveSet(curves), vectorized,
-        )
-
-    def finish_with_compiled(
-        self,
-        bottom_row: int,
-        gaps: Sequence[Gap],
-        right_offsets: Dict[int, int],
-        left_offsets: Dict[int, int],
-        lo: float,
-        hi: float,
-        compiled: CurveSet,
-        vectorized: bool,
-    ) -> Optional[EvaluatedInsertion]:
-        """Minimize + guard + moves over an already-compiled curve set.
-
-        Split out of :meth:`finish_evaluation` so the SoA backend, which
-        assembles the summed curve directly from arrays, can join the
-        shared pipeline at the compiled stage.
-        """
-        placement = self.occupancy.placement
+        compiled = CurveSet(curves)
         best = compiled.minimize(lo, hi)
         if best is None:
             return None
         best_x, best_cost = best
 
         if self.guard is not None:
-            if vectorized:
-                best_x, extra = self.guard.adjust_x_vector(
-                    self.target_type,
-                    bottom_row,
-                    best_x,
-                    int(math.ceil(lo)),
-                    int(math.floor(hi)),
-                    compiled.value,
-                    compiled.values,
-                )
-            else:
-                best_x, extra = self.guard.adjust_x(
-                    self.target_type,
-                    bottom_row,
-                    best_x,
-                    int(math.ceil(lo)),
-                    int(math.floor(hi)),
-                    compiled.value,
-                )
+            best_x, extra = self.guard.adjust_x(
+                self.target_type,
+                bottom_row,
+                best_x,
+                int(math.ceil(lo)),
+                int(math.floor(hi)),
+                compiled.value,
+            )
             best_cost = compiled.value(best_x) + extra
 
+        return EvaluatedInsertion(
+            x=best_x,
+            y=bottom_row,
+            cost=best_cost,
+            moves=self.spread_moves(right_offsets, left_offsets, best_x),
+            gaps=tuple(gaps),
+        )
+
+    def spread_moves(
+        self,
+        right_offsets: Dict[int, int],
+        left_offsets: Dict[int, int],
+        x: int,
+    ) -> List[Tuple[int, int]]:
+        """``(local cell, new x)`` of every cell pushed by the target at ``x``."""
+        current = self.occupancy.placement.x
         moves: List[Tuple[int, int]] = []
         for cell, offset in right_offsets.items():
-            new_x = max(placement.x[cell], best_x + offset)
-            if new_x != placement.x[cell]:
+            new_x = max(current[cell], x + offset)
+            if new_x != current[cell]:
                 moves.append((cell, new_x))
         for cell, offset in left_offsets.items():
-            new_x = min(placement.x[cell], best_x - offset)
-            if new_x != placement.x[cell]:
+            new_x = min(current[cell], x - offset)
+            if new_x != current[cell]:
                 moves.append((cell, new_x))
-
-        return EvaluatedInsertion(
-            x=best_x, y=bottom_row, cost=best_cost, moves=moves, gaps=tuple(gaps)
-        )
+        return moves
 
     # ------------------------------------------------------------------
 

@@ -131,8 +131,8 @@ class MGLegalizer:
     Args:
         design: the problem instance (validated by the caller).
         params: tunables; see :class:`LegalizerParams`.
-        guard: routability guard, built automatically when
-            ``params.routability`` is set and the design has rails/pins.
+        guard: routability guard, built automatically whenever
+            ``params.routability`` is set, rails and pins or not.
         recorder: optional perf instrumentation, forwarded to the
             scheduler's parallel backend for per-worker timers.
         tracer: optional span tracer; the shared zero-overhead

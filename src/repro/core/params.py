@@ -104,13 +104,14 @@ class LegalizerParams:
         eval_backend: insertion-evaluation backend.  ``"vector"`` (the
             default) routes ``InsertionContext.evaluate`` through the
             structure-of-arrays fast path (repro.core.soa): per-run
-            prefix-sum push analysis, vectorized lower bounds, and
-            batched CurveSet/guard probes.  ``"scalar"`` keeps the
-            original per-candidate walk and is the oracle: both
-            backends produce bit-identical placements and identical
-            ``insertions_evaluated`` counts (property-tested in
-            tests/test_soa_equivalence.py), exactly like the
-            ``candidate_order`` contract.
+            prefix-sum push analysis, vectorized lower bounds, and a
+            one-pass finish (curve sum, site minimization and the
+            planned rail/IO guard walk, all on plain lists).
+            ``"scalar"`` keeps the original per-candidate walk and is
+            the oracle: both backends produce bit-identical placements
+            and identical ``insertions_evaluated`` counts
+            (property-tested in tests/test_soa_equivalence.py), exactly
+            like the ``candidate_order`` contract.
     """
 
     window_width: int = 40

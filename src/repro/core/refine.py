@@ -21,13 +21,19 @@ import math
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.core.params import LegalizerParams
 from repro.model.design import Design
 from repro.model.geometry import Rect
 from repro.model.technology import CellType
+
+#: A (cell pin, IO pin) pair that can overlap on one row, as
+#: ``(pin_xlo, pin_xhi, io_xlo, io_xhi)`` in length units.
+IOPair = Tuple[float, float, float, float]
+
+#: What :meth:`RoutabilityGuard.adjust_x_planned` reads for one (cell
+#: type, row): ``x_blocked`` for every left-edge site ``0..num_sites``,
+#: and the row's :meth:`RoutabilityGuard._io_pairs`.
+WalkPlan = Tuple[List[bool], List[IOPair]]
 
 
 class _GuardCaches(threading.local):
@@ -43,16 +49,11 @@ class _GuardCaches(threading.local):
     def __init__(self) -> None:
         self.row_ok: Dict[Tuple[str, int], bool] = {}
         self.x_blocked: Dict[Tuple[str, bool, int], bool] = {}
-        self.io_pairs: Dict[
-            Tuple[str, int], List[Tuple[float, float, float, float]]
-        ] = {}
-        # SoA mirrors for the vectorized guard path (repro.core.soa):
-        # a per-(type, flip) boolean mask over every site, and the
-        # io_pairs tuples transposed into four parallel float arrays.
-        self.blocked_mask: Dict[Tuple[str, bool], npt.NDArray[np.bool_]] = {}
-        self.io_arrays: Dict[
-            Tuple[str, int], Optional[Tuple[npt.NDArray[np.float64], ...]]
-        ] = {}
+        self.io_pairs: Dict[Tuple[str, int], List[IOPair]] = {}
+        # Walk plans of adjust_x_planned: x_blocked over every site per
+        # (type, flip), and per (type, row) that list with the io_pairs.
+        self.blocked_sites: Dict[Tuple[str, bool], List[bool]] = {}
+        self.plans: Dict[Tuple[str, int], WalkPlan] = {}
 
 
 class RoutabilityGuard:
@@ -70,14 +71,10 @@ class RoutabilityGuard:
             for rail in design.rails.rails
             if rail.orientation == "v"
         )
-        # The adjust_x walk pattern [0, +1, -1, ..., +max, -max] as an
-        # offset array — constant for the guard's lifetime.
-        shifts = np.arange(1, self.params.guard_max_shift + 1, dtype=np.int64)
-        deltas = np.empty(2 * shifts.size + 1, dtype=np.int64)
-        deltas[0] = 0
-        deltas[1::2] = shifts
-        deltas[2::2] = -shifts
-        self._walk_deltas = deltas
+        # The adjust_x visit order [0, +1, -1, ..., +max, -max] as offsets.
+        self._walk_deltas = [0]
+        for shift in range(1, self.params.guard_max_shift + 1):
+            self._walk_deltas += [shift, -shift]
 
     # ------------------------------------------------------------------
     # Pin geometry
@@ -168,9 +165,7 @@ class RoutabilityGuard:
             self._caches.x_blocked[key] = blocked
         return blocked
 
-    def _io_pairs(
-        self, cell_type: CellType, row: int
-    ) -> List[Tuple[float, float, float, float]]:
+    def _io_pairs(self, cell_type: CellType, row: int) -> List[IOPair]:
         """(pin, IO pin) pairs that can overlap at ``row``, x-precomputed.
 
         The layer and y-overlap tests of :meth:`io_penalty_at` depend
@@ -189,7 +184,7 @@ class RoutabilityGuard:
         y_len = row * design.row_height
         height_len = cell_type.height * design.row_height
         flipped = self._is_flipped(cell_type, row)
-        pairs: List[Tuple[float, float, float, float]] = []
+        pairs: List[IOPair] = []
         for pin in cell_type.pins:
             rect = pin.rect
             if flipped:
@@ -214,6 +209,10 @@ class RoutabilityGuard:
         pairs = self._io_pairs(cell_type, row)
         if not pairs:
             return 0.0
+        return self._pairs_penalty(pairs, x)
+
+    def _pairs_penalty(self, pairs: List[IOPair], x: int) -> float:
+        """:meth:`io_penalty_at` over a non-empty :meth:`_io_pairs` list."""
         x_len = x * self.design.site_width
         count = 0
         for pin_xlo, pin_xhi, io_xlo, io_xhi in pairs:
@@ -261,79 +260,36 @@ class RoutabilityGuard:
         return best_x, best_total - cost_at(best_x)
 
     # ------------------------------------------------------------------
-    # Vectorized guard path (repro.core.soa rail/blockage masks)
+    # Planned guard walk (the vector backend's adjust_x)
     # ------------------------------------------------------------------
 
-    @property
-    def x_mask_cacheable(self) -> bool:
-        """Whether :meth:`site_blocked_mask` is available (full-height stripes)."""
-        return self._x_cacheable
+    def _walk_plan(self, cell_type: CellType, row: int) -> Optional[WalkPlan]:
+        """The lazily built :data:`WalkPlan` of ``cell_type`` at ``row``.
 
-    def site_blocked_mask(
-        self, cell_type: CellType, row: int
-    ) -> Optional[npt.NDArray[np.bool_]]:
-        """Per-site vertical-rail conflict mask for ``cell_type`` at ``row``.
-
-        ``mask[x]`` equals :meth:`x_blocked` for every left-edge site of
-        the chip; the mask depends only on the flip state when vertical
-        stripes span the full chip height (the same condition under which
-        ``x_blocked`` itself is cacheable) — otherwise None is returned
-        and callers must stay on the scalar walk.
+        The blocked list is shared by every row of one flip state, which
+        is exact only when ``x_blocked`` ignores the row: for pinless
+        types, or when every vertical stripe spans the chip height.
+        Otherwise None is returned.
         """
-        if not self._x_cacheable:
+        if cell_type.pins and not self._x_cacheable:
             return None
-        key = (cell_type.name, self._is_flipped(cell_type, row))
-        cached = self._caches.blocked_mask.get(key)
-        if cached is not None:
-            return cached
-        mask = np.fromiter(
-            (
-                self.x_blocked(cell_type, row, x)
-                for x in range(self.design.num_sites + 1)
-            ),
-            dtype=np.bool_,
-            count=self.design.num_sites + 1,
-        )
-        self._caches.blocked_mask[key] = mask
-        return mask
-
-    def _io_pair_arrays(
-        self, cell_type: CellType, row: int
-    ) -> Optional[Tuple[npt.NDArray[np.float64], ...]]:
-        """:meth:`_io_pairs` transposed to four parallel float arrays."""
+        caches = self._caches
         key = (cell_type.name, row)
-        if key in self._caches.io_arrays:
-            return self._caches.io_arrays[key]
-        pairs = self._io_pairs(cell_type, row)
-        arrays: Optional[Tuple[npt.NDArray[np.float64], ...]] = None
-        if pairs:
-            columns = np.asarray(pairs, dtype=np.float64).T
-            arrays = (columns[0], columns[1], columns[2], columns[3])
-        self._caches.io_arrays[key] = arrays
-        return arrays
+        plan = caches.plans.get(key)
+        if plan is None:
+            flip = (cell_type.name, self._is_flipped(cell_type, row))
+            blocked = caches.blocked_sites.get(flip)
+            if blocked is None:
+                blocked = [
+                    self.x_blocked(cell_type, row, x)
+                    for x in range(self.design.num_sites + 1)
+                ]
+                caches.blocked_sites[flip] = blocked
+            plan = (blocked, self._io_pairs(cell_type, row))
+            caches.plans[key] = plan
+        return plan
 
-    def io_penalty_array(
-        self, cell_type: CellType, row: int, xs: npt.NDArray[np.float64]
-    ) -> npt.NDArray[np.float64]:
-        """Vectorized :meth:`io_penalty_at` over many x positions.
-
-        Performs the identical translate-then-compare arithmetic per
-        position, so every entry is bit-equal to the scalar query.
-        """
-        if not cell_type.pins:
-            return np.zeros(xs.shape, dtype=np.float64)
-        arrays = self._io_pair_arrays(cell_type, row)
-        if arrays is None:
-            return np.zeros(xs.shape, dtype=np.float64)
-        pin_xlo, pin_xhi, io_xlo, io_xhi = arrays
-        x_len = xs * self.design.site_width
-        overlap = (io_xlo[:, None] < pin_xhi[:, None] + x_len[None, :]) & (
-            pin_xlo[:, None] + x_len[None, :] < io_xhi[:, None]
-        )
-        counts = overlap.sum(axis=0).astype(np.float64)
-        return counts * self.params.io_penalty
-
-    def adjust_x_vector(
+    def adjust_x_planned(
         self,
         cell_type: CellType,
         row: int,
@@ -341,46 +297,39 @@ class RoutabilityGuard:
         lo: int,
         hi: int,
         cost_at: Callable[[float], float],
-        costs_at: Callable[[npt.NDArray[np.float64]], npt.NDArray[np.float64]],
     ) -> Tuple[int, float]:
-        """Bit-identical :meth:`adjust_x` with batched probes.
+        """Bit-identical :meth:`adjust_x` over the cached walk plan.
 
-        The candidate walk, blocked filter, penalty arithmetic, and the
-        strict-improvement selection replay the scalar method exactly —
-        only the cost/penalty probes are evaluated in one vectorized
-        batch (``costs_at`` must be bit-equal to ``cost_at`` per point,
-        which :meth:`repro.core.curves.CurveSet.values` guarantees).
-        Falls back to :meth:`adjust_x` when the per-site mask is
-        unavailable (partial-height vertical stripes).
+        Visits the same candidates in the same nearest-first order, with
+        the same filters (clipped to ``[lo, hi]``, then not blocked), the
+        same ``cost + count * io_penalty`` totals and the same
+        strict-improvement rule; the per-probe rail and IO-pair queries
+        become list reads.  Without a plan, or when ``[lo, hi]`` leaves
+        the chip's sites, it is :meth:`adjust_x` itself.
         """
-        mask = self.site_blocked_mask(cell_type, row)
-        if mask is None and cell_type.pins:
+        plan = self._walk_plan(cell_type, row)
+        if plan is None or lo < 0 or hi >= len(plan[0]):
             return self.adjust_x(cell_type, row, x_opt, lo, hi, cost_at)
-        # The scalar walk in array form: in-range filter, then the
-        # blocked filter, both preserving the nearest-first visit order.
-        candidates = x_opt + self._walk_deltas
-        keep = (candidates >= lo) & (candidates <= hi)
-        if mask is not None:
-            keep &= ~mask[candidates.clip(0, mask.size - 1)]
-        candidates = candidates[keep]
-        if candidates.size == 0:
+        blocked, pairs = plan
+        best_x: Optional[int] = None
+        best_total = math.inf
+        best_cost = 0.0
+        for delta in self._walk_deltas:
+            x = x_opt + delta
+            if x < lo or x > hi or blocked[x]:
+                continue
+            cost = cost_at(x)
+            total = cost + self._pairs_penalty(pairs, x) if pairs else cost
+            if total < best_total - 1e-12:
+                best_total = total
+                best_x = x
+                best_cost = cost
+        if best_x is None:
             penalty = self.params.blocked_penalty + self.io_penalty_at(
                 cell_type, row, x_opt
             )
             return x_opt, penalty
-        points = candidates.astype(np.float64)
-        costs = costs_at(points)
-        if cell_type.pins and self._io_pair_arrays(cell_type, row) is not None:
-            totals = (costs + self.io_penalty_array(cell_type, row, points)).tolist()
-        else:
-            totals = costs.tolist()
-        best_index = 0
-        best_total = math.inf
-        for index, total in enumerate(totals):
-            if total < best_total - 1e-12:
-                best_total = total
-                best_index = index
-        return int(candidates[best_index]), best_total - float(costs[best_index])
+        return best_x, best_total - best_cost
 
     # ------------------------------------------------------------------
     # Stage-3 feasible ranges (C_L = C_R = C)

@@ -48,6 +48,10 @@ if TYPE_CHECKING:
 #: tracer is enabled, the ``evaluate`` span payload that produced it.
 EvalOutcome = Tuple[Optional[EvaluatedInsertion], Optional[SpanPayload]]
 
+#: A queued cell: (cell, window scale, failed attempts, its window).  The
+#: window is ``initial_window(cell, scale)``, computed once per (re)queue.
+Queued = Tuple[int, float, int, Rect]
+
 
 class WindowScheduler:
     """Batches non-overlapping MGL windows with bounded capacity."""
@@ -73,8 +77,9 @@ class WindowScheduler:
         """
         legalizer = self.legalizer
         params = legalizer.params
-        waiting: Deque[Tuple[int, float, int]] = deque(
-            (cell, 1.0, 0) for cell in mgl_cell_order(legalizer.design, params)
+        waiting: Deque[Queued] = deque(
+            (cell, 1.0, 0, legalizer.initial_window(cell, 1.0))
+            for cell in mgl_cell_order(legalizer.design, params)
         )
         total_cells = len(waiting)
         progress = legalizer.progress
@@ -182,10 +187,11 @@ class WindowScheduler:
                                 # its remaining space.
                                 if span.recording:
                                     span.set(cell=cell, requeued=True)
-                                waiting.appendleft(
-                                    (cell, scale * params.window_expand,
-                                     attempts)
-                                )
+                                grown = scale * params.window_expand
+                                waiting.appendleft((
+                                    cell, grown, attempts,
+                                    legalizer.initial_window(cell, grown),
+                                ))
                 if progress.enabled:
                     alive = (
                         sum(1 for w in self.parallel.workers if w.alive)
@@ -212,20 +218,19 @@ class WindowScheduler:
     # ------------------------------------------------------------------
 
     def _select_batch(
-        self, waiting: Deque[Tuple[int, float, int]]
-    ) -> Tuple[List[Tuple[int, float, int, Rect]], Deque[Tuple[int, float, int]]]:
+        self, waiting: Deque[Queued]
+    ) -> Tuple[List[Queued], Deque[Queued]]:
         """Fill L_p: first-fit scan of L_w for pairwise-disjoint windows."""
-        legalizer = self.legalizer
-        batch: List[Tuple[int, float, int, Rect]] = []
+        batch: List[Queued] = []
         batch_windows: List[Rect] = []
-        deferred: Deque[Tuple[int, float, int]] = deque()
+        deferred: Deque[Queued] = deque()
         while waiting and len(batch) < self.capacity:
-            cell, scale, attempts = waiting.popleft()
-            window = legalizer.initial_window(cell, scale)
+            queued = waiting.popleft()
+            window = queued[3]
             if any(window.overlaps(other) for other in batch_windows):
-                deferred.append((cell, scale, attempts))
+                deferred.append(queued)
                 continue
-            batch.append((cell, scale, attempts, window))
+            batch.append(queued)
             batch_windows.append(window)
         # Anything skipped during selection stays at the queue front,
         # preserving the deterministic order.
@@ -235,7 +240,7 @@ class WindowScheduler:
 
     def _evaluate_batch(
         self,
-        batch: List[Tuple[int, float, int, Rect]],
+        batch: List[Queued],
         pool: Optional[ThreadPoolExecutor],
     ) -> List[EvalOutcome]:
         """Evaluate all members against the frozen batch-start state.

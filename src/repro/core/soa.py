@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.curves import CurveSet, DisplacementCurve
 from repro.core.occupancy import Occupancy
 from repro.model.approx import approx_eq
 from repro.model.design import Design
@@ -253,9 +253,10 @@ class VectorEvaluator:
         self._use_gp = context.reference == "gp"
         self._widths = soa.design.cell_widths
         self._heights = soa.design.cell_heights
-        from repro.core.insertion import Gap
+        from repro.core.insertion import EvaluatedInsertion, Gap
 
         self._gap_cls = Gap
+        self._insertion_cls = EvaluatedInsertion
 
     # ------------------------------------------------------------------
     # Lower bounds
@@ -546,22 +547,23 @@ class VectorEvaluator:
         left_offsets: Dict[int, int],
         left_limit: float,
     ) -> Optional["EvaluatedInsertion"]:
-        """Array-backed twin of :meth:`InsertionContext.finish_evaluation`.
+        """One-pass twin of :meth:`InsertionContext.finish_evaluation`.
 
         Builds the *summed* curve straight from the offsets — anchor,
         ordered value/slope sums, merged breakpoints — performing, per
         curve, the same float operations ``sum_curves`` runs on the
         factory-built curve objects (every kept intermediate rounds
-        identically), then rejoins the shared compiled pipeline.  The
-        per-curve closed forms below are the reference ``value()`` walks
-        at the summed anchor ``m``, which sits at or left of every
-        per-curve anchor because ``min`` includes the constant curve's
-        anchor ``0.0``; bit-equality against the object path is pinned
-        by tests/test_soa_equivalence.py.
+        identically).  The per-curve closed forms below are the reference
+        ``value()`` walks at the summed anchor ``m``, which sits at or
+        left of every per-curve anchor because ``min`` includes the
+        constant curve's anchor ``0.0``.  It then replays the forward
+        sweep of ``CurveSet`` on plain lists, and minimizes, guards and
+        builds the moves exactly as the scalar tail does; bit-equality
+        against the object path is pinned by tests/test_soa_equivalence.py.
         """
-        lo = left_limit
-        hi = right_limit
-        if math.ceil(lo) > math.floor(hi):
+        lo_site = math.ceil(left_limit)
+        hi_site = math.floor(right_limit)
+        if lo_site > hi_site:
             return None
 
         context = self.context
@@ -619,6 +621,13 @@ class VectorEvaluator:
             baseline += base
 
         m = min(anchors)
+        # Every probe below (minimize sites and guard walk alike) lies in
+        # [lo_site, hi_site], so this makes the forward sweep sufficient:
+        # the backward half of CurveSet is never consulted.
+        if lo_site < m:
+            raise ValueError(
+                f"site {lo_site} left of the summed curve anchor {m}"
+            )
 
         # Pass 2: the ordered value sum at m.  builtins.sum starts from
         # int 0 exactly like the scalar generator sum; each term is the
@@ -651,12 +660,63 @@ class VectorEvaluator:
             else:
                 coalesced.append((bp_x, delta))
 
-        compiled = CurveSet.from_total(
-            DisplacementCurve(m, anchor_value, initial_slope, tuple(coalesced))
-        )
-        return context.finish_with_compiled(
-            bottom_row, gaps, right_offsets, left_offsets,
-            lo, hi, compiled, vectorized=True,
+        # CurveSet's forward checkpoints: the slope at the anchor folds
+        # the deltas at or left of m, then each breakpoint right of m
+        # extends the running total by one full segment.
+        slope = initial_slope
+        start = 0
+        for bp_x, delta in coalesced:
+            if bp_x > m:
+                break
+            slope += delta
+            start += 1
+        fwd_x: List[float] = []
+        fwd_total = [anchor_value]
+        fwd_slope = [slope]
+        fwd_pos = [m]
+        running = anchor_value
+        position = m
+        for bp_x, delta in coalesced[start:]:
+            running = running + slope * (bp_x - position)
+            position = bp_x
+            slope = slope + delta
+            fwd_x.append(bp_x)
+            fwd_total.append(running)
+            fwd_slope.append(slope)
+            fwd_pos.append(position)
+
+        def cost_at(x: float) -> float:
+            j = bisect_left(fwd_x, x)
+            return fwd_total[j] + fwd_slope[j] * (x - fwd_pos[j])
+
+        # CurveSet.minimize: range ends plus the sites around each
+        # breakpoint, in ascending order, strict improvement only.
+        sites = {lo_site, hi_site}
+        for bp_x, _ in coalesced:
+            for site in (math.floor(bp_x), math.ceil(bp_x)):
+                if lo_site <= site <= hi_site:
+                    sites.add(site)
+        best_x = lo_site
+        best_cost = math.inf
+        for site in sorted(sites):
+            cost = cost_at(site)
+            if cost < best_cost - 1e-12:
+                best_cost = cost
+                best_x = site
+
+        guard = context.guard
+        if guard is not None:
+            best_x, extra = guard.adjust_x_planned(
+                context.target_type, bottom_row, best_x, lo_site, hi_site,
+                cost_at,
+            )
+            best_cost = cost_at(best_x) + extra
+        return self._insertion_cls(
+            x=best_x,
+            y=bottom_row,
+            cost=best_cost,
+            moves=context.spread_moves(right_offsets, left_offsets, best_x),
+            gaps=tuple(gaps),
         )
 
     def _cells_slice(

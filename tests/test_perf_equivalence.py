@@ -10,7 +10,7 @@ are bit-identical with or without them.  These tests pin that contract:
   evaluates more insertion points than the exhaustive one;
 * ``use_gap_cache`` on vs off — identical placements and identical
   evaluation counts (the cache may only skip re-*enumeration*);
-* ``CurveSet.value`` / ``values`` / ``minimize`` vs the reference
+* ``CurveSet.value`` / ``minimize`` vs the reference
   :meth:`DisplacementCurve.value` walk and
   :func:`minimize_over_sites` — equal to the last bit;
 * the :class:`~repro.core.insertion.GapCache` invalidation contract
@@ -179,18 +179,6 @@ class TestCurveSetBitExact:
         assert CurveSet(curves).minimize(lo, hi) == minimize_over_sites(
             curves, lo, hi
         )
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 100_000), count=st.integers(0, 8))
-    def test_vectorized_values_match_scalar(self, seed, count):
-        rng = random.Random(seed)
-        curves = random_curves(rng, count)
-        compiled = CurveSet(curves)
-        # 40 points forces the NumPy path; compare against scalar calls.
-        xs = [rng.uniform(-10, 50) for _ in range(40)]
-        batch = compiled.values(xs)
-        for x, got in zip(xs, batch):
-            assert float(got) == compiled.value(x)
 
     def test_empty_range_returns_none(self):
         curves = [DisplacementCurve.target(3.0)]

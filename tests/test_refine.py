@@ -1,7 +1,11 @@
 """Tests for the routability guard (paper §3.4)."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.curves import CurveSet
 from repro.core.params import LegalizerParams
 from repro.core.refine import RoutabilityGuard
 from repro.model.design import Design
@@ -9,6 +13,8 @@ from repro.model.geometry import Interval, Rect
 from repro.model.placement import Placement
 from repro.model.rails import HORIZONTAL, IOPin, Rail, VERTICAL
 from repro.model.technology import CellType, PinShape, Technology
+
+from tests.test_perf_equivalence import random_curves
 
 
 @pytest.fixture
@@ -34,6 +40,15 @@ def guarded():
              span=Interval(0, 8), extent=Interval(0, 16))
     )
     return design, RoutabilityGuard(design, LegalizerParams())
+
+
+@pytest.fixture
+def guarded_io(guarded):
+    """The guarded design plus IO pins over row 0 (M1) and rows 1-2 (M3)."""
+    design, guard = guarded
+    design.rails.add_io_pin(IOPin("io", 1, Rect(1.0, 0.1, 1.3, 0.9)))
+    design.rails.add_io_pin(IOPin("io3", 3, Rect(3.0, 2.2, 3.4, 5.8)))
+    return design, guard
 
 
 class TestRowOk:
@@ -102,6 +117,31 @@ class TestIOPenalty:
         # At x=5 the M1 pin spans x [1.05, 1.25): overlaps the IO pin.
         assert guard.io_penalty_at(p, 0, 5) > 0
         assert guard.io_penalty_at(p, 0, 20) == 0.0
+
+
+class TestPlannedWalk:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 100_000), count=st.integers(0, 8),
+           row=st.integers(0, 7), type_name=st.sampled_from(["P", "NOPIN"]),
+           sites=st.lists(st.integers(-3, 43), min_size=3, max_size=3))
+    def test_matches_adjust_x(self, guarded_io, seed, count, row, type_name,
+                              sites):
+        design, guard = guarded_io
+        cell_type = design.technology.type_named(type_name)
+        lo, x_opt, hi = sorted(sites)
+        cost_at = CurveSet(random_curves(random.Random(seed), count)).value
+        assert guard.adjust_x_planned(
+            cell_type, row, x_opt, lo, hi, cost_at
+        ) == guard.adjust_x(cell_type, row, x_opt, lo, hi, cost_at)
+
+    def test_walk_meets_rails_and_io(self, guarded_io):
+        design, guard = guarded_io
+        p = design.technology.type_named("P")
+        sites = range(design.num_sites + 1)
+        assert any(guard.x_blocked(p, 0, x) for x in sites)
+        assert any(guard.io_penalty_at(p, 0, x) > 0 for x in sites)
+        assert any(guard.io_penalty_at(p, 1, x) > 0 for x in sites)
 
 
 class TestFeasibleRange:

@@ -1,60 +1,86 @@
 """Bit-equality of the vectorized (SoA) backend against the scalar oracle.
 
-``eval_backend=vector`` routes gap enumeration, push analysis, curve
-assembly, and the guard walk through :mod:`repro.core.soa`'s
-structure-of-arrays fast paths.  The scalar backend stays in the tree as
-the oracle, and the whole optimization is only legitimate while the two
-are *bit-identical* — same placements, same ``insertions_evaluated``
-counts, candidate for candidate.  These tests pin that contract:
+``eval_backend=vector`` routes gap enumeration and push analysis
+through :mod:`repro.core.soa`'s structure-of-arrays fast paths, and
+finishes every candidate in one pass over plain lists: the summed
+curve's forward checkpoints, the site minimization, and the guard's
+planned rail/IO walk (:meth:`RoutabilityGuard.adjust_x_planned`).  The
+scalar backend stays in the tree as the oracle, and the whole
+optimization is only legitimate while the two are *bit-identical* —
+same placements, same ``insertions_evaluated`` counts, candidate for
+candidate.  These tests pin that contract:
 
 * an end-to-end Hypothesis property over random mixed-height designs
-  with fences and placement blockages, with routability on and off;
+  with fences, placement blockages, a P/G grid, pinned cell types and
+  (on some draws) IO pins, with routability on and off;
 * per-candidate equality of :meth:`InsertionContext.evaluate` (vector)
   against :meth:`InsertionContext.evaluate_scalar` on live mid-run
-  occupancies;
+  occupancies, with the routability guard live;
 * gap-enumeration equality of :meth:`VectorEvaluator.gaps_in_segment`
   against the scalar ``_gaps_in_segment`` walk;
-* the batch-computed candidate lower bound against its scalar form;
-* :meth:`CurveSet.from_total` (the flat-assembly entry point) against
-  the summing constructor, and 2-D ``values`` batches against scalar
-  ``value`` calls.
+* the batch-computed candidate lower bound against its scalar form.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.core.curves import CurveSet, sum_curves
 from repro.core.insertion import InsertionContext
 from repro.core.mgl import LegalizationError, MGLegalizer, mgl_cell_order
 from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
+from repro.core.refine import RoutabilityGuard
 from repro.core.soa import SoAState
 from repro.model.design import Design
 from repro.model.fence import FenceRegion
 from repro.model.geometry import Rect
 from repro.model.placement import Placement
-from repro.model.technology import CellType, Technology
-
-from tests.test_perf_equivalence import random_curves
+from repro.model.rails import IOPin, standard_pg_grid
+from repro.model.technology import CellType, PinShape, Technology
 
 
 def build_design(
     seed: int, density: float, with_fence: bool, with_blockage: bool
 ) -> Design:
-    """A random mixed-height design with optional fence and blockage."""
+    """A random mixed-height design with optional fence and blockage.
+
+    Every design carries the standard P/G grid (its vertical M3 stripe
+    blocks the M2 pins of ``S2`` and ``D2`` at two sites, its
+    horizontal M2 stripes rule out every other even row for ``D2``),
+    and about half the draws add IO pins, so the guard's blocked-site
+    and IO penalty branches are live whenever routability is on.
+    """
     rng = random.Random(seed)
     tech = Technology(
         cell_types=[
-            CellType("S2", 2, 1),
-            CellType("S3", 3, 1),
-            CellType("D2", 2, 2),
+            CellType("S2", 2, 1, pins=(
+                PinShape("a", 2, Rect(0.05, 0.7, 0.25, 1.1)),
+            )),
+            CellType("S3", 3, 1, pins=(
+                PinShape("a", 1, Rect(0.1, 0.2, 0.3, 0.6)),
+            )),
+            CellType("D2", 2, 2, pins=(
+                PinShape("a", 2, Rect(0.1, 0.05, 0.3, 0.5)),
+            )),
             CellType("T3", 3, 3),
         ]
     )
     rows = rng.choice([8, 12])
     sites = rng.choice([40, 60])
     design = Design(tech, num_rows=rows, num_sites=sites, name=f"soa{seed}")
+    design.rails = standard_pg_grid(
+        design.chip_rect_length_units, design.row_height
+    )
+    if rng.random() < 0.5:
+        chip = design.chip_rect_length_units
+        for index in range(rng.randint(2, 5)):
+            x = rng.uniform(chip.xlo, chip.xhi - 0.6)
+            y = rng.uniform(chip.ylo, chip.yhi - 2.0)
+            design.rails.add_io_pin(
+                IOPin(f"io{index}", rng.choice([1, 2, 3]),
+                      Rect(x, y, x + 0.6, y + 2.0))
+            )
     fence_id = 0
     if with_fence:
         design.add_fence(
@@ -158,9 +184,10 @@ def _context_pair(
 ) -> "tuple[InsertionContext, InsertionContext]":
     """(scalar context, vector context) over the same frozen occupancy."""
     window = design.chip_rect
-    scalar = InsertionContext(design, occupancy, target, window)
+    guard = RoutabilityGuard(design, LegalizerParams())
+    scalar = InsertionContext(design, occupancy, target, window, guard=guard)
     vector = InsertionContext(
-        design, occupancy, target, window,
+        design, occupancy, target, window, guard=guard,
         soa=SoAState(design, occupancy),
     )
     assert vector._vector is not None
@@ -246,31 +273,11 @@ class TestPerCandidateEquality:
         assume(checked)
 
 
-class TestCurveBatching:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 100_000), count=st.integers(0, 8))
-    def test_from_total_matches_constructor(self, seed, count):
-        rng = random.Random(seed)
-        curves = random_curves(rng, count)
-        summed = CurveSet.from_total(sum_curves(curves))
-        reference = CurveSet(curves)
-        probes = [rng.uniform(-10, 50) for _ in range(25)]
-        for x in probes:
-            assert summed.value(x) == reference.value(x), x
-        assert summed.minimize(-5.0, 45.0) == reference.minimize(-5.0, 45.0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 100_000), count=st.integers(0, 8))
-    def test_values_2d_batch_matches_scalar(self, seed, count):
-        rng = random.Random(seed)
-        compiled = CurveSet(random_curves(rng, count))
-        # 6 x 8 = 48 points: above the scalar-path cutoff, exercising the
-        # flattened searchsorted pass on a candidates-x-probes batch.
-        grid = [
-            [rng.uniform(-10, 50) for _ in range(8)] for _ in range(6)
-        ]
-        batch = compiled.values(grid)
-        assert batch.shape == (6, 8)
-        for i in range(6):
-            for j in range(8):
-                assert float(batch[i, j]) == compiled.value(grid[i][j])
+def test_finish_refuses_sites_left_of_the_summed_anchor():
+    """The one-pass finish reads only forward checkpoints, so a site range
+    starting left of the summed anchor (``<= 0.0``) must raise, not guess."""
+    design = build_design(1, 0.3, with_fence=False, with_blockage=False)
+    occupancy = Occupancy(design, Placement(design))
+    _, vector = _context_pair(design, occupancy, 0)
+    with pytest.raises(ValueError, match="left of the summed curve anchor"):
+        vector._vector._finish_fast(0, [], {}, 10.0, {}, -5.0)
