@@ -2,20 +2,17 @@
 
 Runs the synthetic ICCAD-2017 suite through bare MGL (the stage this
 repo's perf work targets) at three sizes and writes ``BENCH_mgl.json``
-with, per run: wall time, cells/second, insertion points evaluated,
-window expansions, and the gap-cache hit rate — plus a placement hash so
-two runs (or two revisions) can be diffed for determinism drift.
+with, per run: wall time, cells/second, insertion points evaluated and
+window expansions — plus a placement hash so two runs (or two
+revisions) can be diffed for determinism drift.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf.py            # full: 3 scales
     PYTHONPATH=src python benchmarks/bench_perf.py --quick    # CI smoke
 
-``--quick`` runs the smallest scale on a case subset, additionally
-cross-checks ``candidate_order=best_first`` against ``linear`` and
-capacity 1 against its own replay (placements must be bit-identical),
-and exits non-zero on any mismatch.  CI runs it twice and fails when the
-two reports' hashes differ.
+``--quick`` runs the smallest scale on a case subset.  CI runs it twice
+and fails when the two reports' hashes differ.
 
 Both modes also run a **serial-vs-workers** section: the largest case is
 legalized with ``scheduler_workers=0`` and with a process pool at the
@@ -109,9 +106,6 @@ def run_mgl(
         placement = legalizer.run()
     seconds = time.perf_counter() - start
     recorder.merge_counters(legalizer.stats, prefix="mgl.")
-    hits = legalizer.stats.get("gap_cache_hits", 0)
-    misses = legalizer.stats.get("gap_cache_misses", 0)
-    lookups = hits + misses
     return {
         "name": design_name,
         "scale": scale,
@@ -120,10 +114,6 @@ def run_mgl(
         "cells_per_sec": round(design.num_cells / seconds, 1),
         "insertions_evaluated": legalizer.stats["insertions_evaluated"],
         "window_expansions": legalizer.stats["window_expansions"],
-        "gap_cache_hits": hits,
-        "gap_cache_misses": misses,
-        "gap_cache_hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-        "candidate_order": params.candidate_order,
         "scheduler_capacity": params.scheduler_capacity,
         "eval_backend": params.eval_backend,
         "placement_hash": placement_hash(placement),
@@ -491,49 +481,10 @@ def run_tracing_overhead_section(
     }
 
 
-def quick_determinism_checks(report: List[RunRecord]) -> List[str]:
-    """Cross-mode equivalence checks on the quick subset.
-
-    For each quick case: ``linear`` must reproduce ``best_first``
-    exactly, the gap cache must not change the result, and capacity 8
-    must match its own re-run.  Returns human-readable failures.
-    """
-    failures: List[str] = []
-    for name in QUICK_CASES:
-        base = next(r for r in report if r["name"] == name)
-        linear = run_mgl(
-            name, QUICK_SCALE, LegalizerParams(candidate_order="linear")
-        )
-        if linear["placement_hash"] != base["placement_hash"]:
-            failures.append(f"{name}: linear != best_first placement")
-        if (
-            int(linear["insertions_evaluated"])
-            < int(base["insertions_evaluated"])
-        ):
-            failures.append(f"{name}: best_first evaluated more than linear")
-        nocache = run_mgl(
-            name, QUICK_SCALE, LegalizerParams(use_gap_cache=False)
-        )
-        if nocache["placement_hash"] != base["placement_hash"]:
-            failures.append(f"{name}: gap cache changed the placement")
-        cap8_a = run_mgl(
-            name, QUICK_SCALE, LegalizerParams(scheduler_capacity=8)
-        )
-        cap8_b = run_mgl(
-            name,
-            QUICK_SCALE,
-            LegalizerParams(scheduler_capacity=8, scheduler_threads=4),
-        )
-        if cap8_a["placement_hash"] != cap8_b["placement_hash"]:
-            failures.append(f"{name}: capacity-8 threaded run diverged")
-    return failures
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: smallest scale, case subset, "
-                             "equivalence cross-checks")
+                        help="CI smoke: smallest scale, case subset")
     parser.add_argument("--scales", type=float, nargs="+", default=None,
                         help=f"cell-count scales to run (default {SCALES})")
     parser.add_argument("--cases", nargs="+", default=None,
@@ -623,17 +574,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{name:20s} scale={scale:<6g} cells={record['cells']:>6} "
                 f"{record['seconds']:>8.3f}s {record['cells_per_sec']:>8.1f} c/s "
                 f"evals={record['insertions_evaluated']:>8} "
-                f"cache={100 * float(record['gap_cache_hit_rate']):.1f}% "
                 f"hash={record['placement_hash']}"
             )
 
     failures: List[str] = []
-    if args.quick:
-        failures = quick_determinism_checks(report)
-        for failure in failures:
-            print(f"DETERMINISM FAILURE: {failure}", file=sys.stderr)
-        if not failures:
-            print("quick determinism checks: OK")
 
     parallel_section: Optional[Dict[str, Union[str, int, float, bool]]] = None
     if not args.no_parallel_section:

@@ -17,7 +17,7 @@ committed ``BENCH_mgl.json``.  Two classes of failure:
   in practice this only trips on genuine algorithmic slowdowns.
 
 Alongside the gates, the script prints **counter deltas** (insertion
-points evaluated, window expansions, gap-cache hit rate) for every
+points evaluated, window expansions) for every
 common case whose counters moved — machine-independent early warning
 that the search explored differently even when hashes and times pass —
 and an explicit ``WARNING`` for every case present in only one report,
@@ -108,9 +108,7 @@ def one_sided_cases(
     return warnings
 
 
-COUNTER_FIELDS = (
-    "insertions_evaluated", "window_expansions", "gap_cache_hit_rate",
-)
+COUNTER_FIELDS = ("insertions_evaluated", "window_expansions")
 
 
 def compare_counters(
@@ -146,16 +144,11 @@ def compare_counters(
             fresh_v = float(fresh_run[metric])  # type: ignore[arg-type]
             if base_v == fresh_v:
                 continue
-            if metric == "gap_cache_hit_rate":
-                moved.append(
-                    f"{metric} {100 * base_v:.1f}% -> {100 * fresh_v:.1f}%"
-                )
-            else:
-                sign = "+" if fresh_v > base_v else ""
-                moved.append(
-                    f"{metric} {int(base_v)} -> {int(fresh_v)} "
-                    f"({sign}{int(fresh_v - base_v)})"
-                )
+            sign = "+" if fresh_v > base_v else ""
+            moved.append(
+                f"{metric} {int(base_v)} -> {int(fresh_v)} "
+                f"({sign}{int(fresh_v - base_v)})"
+            )
         if moved:
             deltas.append(f"{key}: " + ", ".join(moved))
     return deltas

@@ -68,60 +68,6 @@ class EvaluatedInsertion:
         return (self.cost, self.y, self.x)
 
 
-class GapCache:
-    """Memoized per-row gap enumeration, invalidated by occupancy versions.
-
-    Entries are keyed ``(row, profile)`` where the *profile* captures every
-    target-side input of :meth:`InsertionContext.gaps_in_row` — cell type,
-    fence, GP x, window rectangle, and the per-row gap cap — while the
-    occupancy side is covered by :meth:`Occupancy.row_version`: the
-    occupancy bumps a row's version whenever ``add``/``update_x``/``remove``
-    touches a cell spanning that row, which is exactly the set of mutations
-    that can change the row's gap list.  A cached entry is served only
-    while its recorded version is still current, so cached and uncached
-    enumeration are indistinguishable (tests/test_perf_equivalence.py).
-
-    The main reuse is the h-fold bottom-row overlap of multi-row targets
-    (row ``r`` is re-enumerated for bottom rows ``r-h+1 .. r``) and the
-    §3.5 scheduler's re-evaluation of unchanged windows.  The cache is
-    bound to one occupancy at a time; a lookup against a different
-    occupancy object clears and rebinds it.  Returned lists are shared —
-    callers must treat them as immutable.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._occupancy: Optional[Occupancy] = None
-        self._entries: Dict[
-            Tuple[int, Tuple[object, ...]], Tuple[int, List[Gap]]
-        ] = {}
-
-    def gaps_in_row(self, context: "InsertionContext", row: int) -> List[Gap]:
-        """Cached equivalent of ``context._compute_gaps_in_row(row)``."""
-        occupancy = context.occupancy
-        if occupancy is not self._occupancy:
-            self._entries.clear()
-            self._occupancy = occupancy
-        version = occupancy.row_version(row)
-        key = (row, context.profile)
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] == version:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        gaps = context._compute_gaps_in_row(row)
-        if len(self._entries) >= self.max_entries:
-            self._entries.clear()
-        self._entries[key] = (version, gaps)
-        return gaps
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._occupancy = None
-
-
 class InsertionContext:
     """Shared state for enumerating/evaluating insertions of one target.
 
@@ -140,10 +86,6 @@ class InsertionContext:
             positions (MGL, the paper's method); ``"current"`` measures
             from the cells' current positions (MLL [12], reproduced as a
             baseline) — this collapses curve types C/D back into A/B.
-        gap_cache: optional shared :class:`GapCache`; per-row gap lists
-            are looked up there instead of recomputed.  Must only be
-            shared between contexts querying the same occupancy from a
-            single thread (the scheduler's thread-pool path passes None).
         soa: optional shared :class:`repro.core.soa.SoAState` mirror of
             the same occupancy.  When given, :meth:`evaluate` and
             :meth:`target_cost_lower_bound` route through the
@@ -162,7 +104,6 @@ class InsertionContext:
         guard: Optional[RoutabilityGuard] = None,
         reference: str = "gp",
         max_gaps_per_row: int = 12,
-        gap_cache: Optional[GapCache] = None,
         soa: Optional[SoAState] = None,
     ):
         if reference not in ("gp", "current"):
@@ -175,22 +116,12 @@ class InsertionContext:
         self.guard = guard
         self.reference = reference
         self.max_gaps_per_row = max_gaps_per_row
-        self.gap_cache = gap_cache
 
         self.target_type = design.cell_type_of(target)
         self.fence = design.fence_of(target)
         self.gp_x = design.gp_x[target]
         self.gp_y = design.gp_y[target]
         self.x_unit = design.x_unit_rows
-        #: Everything (besides the occupancy) that a row's gap list depends
-        #: on; two contexts with equal profiles enumerate identical gaps.
-        self.profile: Tuple[object, ...] = (
-            self.target_type.name,
-            self.fence,
-            self.gp_x,
-            window,
-            max_gaps_per_row,
-        )
         self._widths = design.cell_widths
         self._heights = design.cell_heights
         self._local_cache: Dict[int, bool] = {}
@@ -292,20 +223,11 @@ class InsertionContext:
         dominated in cost and only inflate the combination search.
 
         Memoized on the context (the occupancy is frozen for its
-        lifetime), and served from :attr:`gap_cache` — which persists
-        *across* contexts — on the first miss when one is attached.
-        Returned lists are shared either way and must not be mutated.
+        lifetime); returned lists are shared and must not be mutated.
         """
-        gaps = self._row_gaps.get(row)
-        if gaps is None:
-            if self.gap_cache is not None:
-                gaps = self.gap_cache.gaps_in_row(self, row)
-            else:
-                gaps = self._compute_gaps_in_row(row)
-            self._row_gaps[row] = gaps
-        return gaps
-
-    def _compute_gaps_in_row(self, row: int) -> List[Gap]:
+        cached = self._row_gaps.get(row)
+        if cached is not None:
+            return cached
         gaps: List[Gap] = []
         vector = self._vector
         for segment in self.design.segments_in_row(row):
@@ -326,6 +248,7 @@ class InsertionContext:
                 )
             )
             gaps = gaps[: self.max_gaps_per_row]
+        self._row_gaps[row] = gaps
         return gaps
 
     def _gaps_in_segment(self, row: int, segment: Segment) -> List[Gap]:
@@ -508,17 +431,17 @@ class InsertionContext:
                     stack.append((depth + 1, chosen + (gap,), new_lo, new_hi))
 
     # ------------------------------------------------------------------
-    # Candidate traversal strategies
+    # Candidate traversal
     # ------------------------------------------------------------------
     #
-    # Both strategies compute the same order-independent winner: walk the
-    # candidates by ``(lower bound, enumeration ordinal)``, stop once a
-    # bound exceeds the incumbent cost plus ``margin``, and keep the
-    # minimum ``(cost, y, x, ordinal)``.  The stop rule is exact in bound
-    # order — after the first failing candidate the incumbent can no
-    # longer change (nothing further is evaluated), so every later
-    # candidate fails the same test — which is what makes the lazy heap
-    # traversal and the exhaustive replay provably identical.
+    # The winner is order-independent: walk the candidates by ``(lower
+    # bound, enumeration ordinal)``, stop once a bound exceeds the
+    # incumbent cost plus ``margin``, and keep the minimum ``(cost, y, x,
+    # ordinal)``.  The stop rule is exact in bound order — after the
+    # first failing candidate the incumbent can no longer change (nothing
+    # further is evaluated), so every later candidate fails the same test
+    # — which is what makes the lazy heap traversal provably identical to
+    # an exhaustive replay (the oracle in tests/test_perf_equivalence.py).
 
     def evaluate_best_first(
         self, max_points: int, margin: float
@@ -596,34 +519,6 @@ class InsertionContext:
                 best = result
                 best_key = key
         return best, best_key, evaluated_points
-
-    def evaluate_linear(
-        self, max_points: int, margin: float
-    ) -> Tuple[Optional[EvaluatedInsertion], int]:
-        """Reference evaluation: cost every candidate, then select.
-
-        Evaluates the full enumeration in its natural order (no pruning,
-        so the evaluated count covers every candidate) and replays the
-        bound-ordered stop rule over the known costs, yielding the exact
-        winner :meth:`evaluate_best_first` converges to.
-        """
-        entries: List[Tuple[float, int, Optional[EvaluatedInsertion]]] = []
-        for bottom_row, gaps in self.enumerate_insertion_points(max_points):
-            bound = self.target_cost_lower_bound(bottom_row, gaps)
-            entries.append((bound, len(entries), self.evaluate(bottom_row, gaps)))
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        best: Optional[EvaluatedInsertion] = None
-        best_key: Optional[Tuple[float, int, int, int]] = None
-        for bound, order, result in entries:
-            if best is not None and bound > best.cost + margin:
-                break
-            if result is None:
-                continue
-            key = (result.cost, result.y, result.x, order)
-            if best_key is None or key < best_key:
-                best = result
-                best_key = key
-        return best, len(entries)
 
     def target_cost_lower_bound(
         self, bottom_row: int, gaps: Sequence[Gap]

@@ -109,7 +109,7 @@ class Legalizer:
 
         One ``disp.h<height>`` histogram per cell height class, in
         row-height units — the distribution behind the S_am (Eq. 2) and
-        max-disp quality numbers; plus the gap-cache hit-rate gauge.
+        max-disp quality numbers.
         """
         if self.recorder is None:
             return
@@ -121,12 +121,6 @@ class Legalizer:
                 f"disp.h{height}",
                 placement.displacement(cell),
                 DISPLACEMENT_BUCKETS,
-            )
-        hits = registry.counters.get("mgl.gap_cache_hits", 0)
-        misses = registry.counters.get("mgl.gap_cache_misses", 0)
-        if hits + misses > 0:
-            registry.set_gauge(
-                "mgl.gap_cache_hit_rate", 100.0 * hits / (hits + misses)
             )
 
     def run(self) -> LegalizationResult:

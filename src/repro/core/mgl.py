@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
-from repro.core.insertion import EvaluatedInsertion, GapCache, InsertionContext
+from repro.core.insertion import EvaluatedInsertion, InsertionContext
 from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
 from repro.core.refine import RoutabilityGuard
@@ -170,6 +170,7 @@ class MGLegalizer:
             "insertions_evaluated": 0,
             "window_expansions": 0,
             "cells_placed": 0,
+            # Fixed at 0 (no gap cache); perfbench/ledger.py reads both.
             "gap_cache_hits": 0,
             "gap_cache_misses": 0,
             # Scheduler counters: stay 0 on the plain sequential path
@@ -178,19 +179,6 @@ class MGLegalizer:
             "scheduler_batches": 0,
             "scheduler_reevaluations": 0,
         }
-        # Shared per-row gap cache for the serial evaluation paths; the
-        # scheduler's thread pool bypasses it (evaluate_insert stays pure).
-        # Only the scheduler's re-evaluation of unchanged rows can re-hit
-        # an entry now that contexts memoize their own gap lists (every
-        # other profile component — window, GP x — changes between
-        # evaluate_insert calls), so population is gated on
-        # scheduler_capacity; see docs/PERFORMANCE.md ("GapCache
-        # population policy").
-        self.gap_cache: Optional[GapCache] = (
-            GapCache()
-            if self.params.use_gap_cache and self.params.scheduler_capacity > 1
-            else None
-        )
         # Shared SoA mirror for the vector evaluation backend, rebuilt
         # when the target occupancy changes; see :meth:`soa_for`.
         self._soa: Optional[SoAState] = None
@@ -230,10 +218,8 @@ class MGLegalizer:
         """The shared SoA mirror of ``occupancy`` (None on the scalar backend).
 
         Memoized on the legalizer; the memo write only happens when the
-        occupancy identity changes (once per run in practice), so
-        concurrent *readers* — the scheduler's thread pool after its
-        serial priming call — never race it.  The mirror's per-row
-        snapshots are thread-local and version-checked, so sharing one
+        occupancy identity changes (once per run in practice).  The
+        mirror's per-row snapshots are version-checked, so sharing one
         instance across evaluations is safe and is exactly what lets
         batch members reuse each other's row snapshots.
         """
@@ -255,27 +241,24 @@ class MGLegalizer:
         cell: int,
         window: Rect,
         exhaustive: bool = False,
-        cache: Optional[GapCache] = None,
         soa: Optional[SoAState] = None,
     ) -> Tuple[Optional[EvaluatedInsertion], int]:
         """Best feasible insertion of ``cell`` within ``window`` (unapplied).
 
         Returns the best evaluated insertion (or None) plus the number of
         insertion points evaluated.  This is the *pure* evaluation path:
-        it mutates neither the legalizer nor the occupancy, which is what
-        makes submitting it to the scheduler's thread pool safe (§3.5).
-        Stats aggregation lives in :meth:`try_insert`, which also passes
-        the legalizer's shared gap cache; pool submissions must leave
-        ``cache`` as None so no shared state is written.
+        it mutates neither the legalizer nor the occupancy (repro-lint
+        C002), which is what lets worker processes run it against their
+        occupancy mirrors (§3.5).  Stats aggregation lives in
+        :meth:`try_insert`.
 
         The winner is defined order-independently: walk candidates by
         ``(lower bound, enumeration ordinal)``, stop once the bound
         exceeds the incumbent cost plus ``prune_margin``, and keep the
-        minimum ``(cost, y, x, ordinal)``.  ``candidate_order=best_first``
-        computes this lazily through a heap with row-level short-circuits
-        (fast); ``linear`` evaluates every enumerated candidate and then
-        applies the identical selection rule (slow, for validation) — the
-        two are provably placement-identical (see
+        minimum ``(cost, y, x, ordinal)``.
+        :meth:`InsertionContext.evaluate_best_first` computes this lazily
+        through a heap with row-level short-circuits; an exhaustive
+        replay of the same rule is the test oracle (see
         tests/test_perf_equivalence.py).
 
         ``exhaustive`` lifts the per-row gap and combination caps and
@@ -287,9 +270,8 @@ class MGLegalizer:
 
         ``soa`` is the shared SoA mirror for the vector backend.  It is
         deliberately *not* resolved here — :meth:`soa_for` memoizes on
-        the legalizer, and this method is contract-pure (repro-lint
-        C002) so the scheduler may fan it out to a thread pool.
-        Callers resolve it serially and pass it in (see
+        the legalizer, a write this contract-pure method may not make.
+        Callers resolve it and pass it in (see
         :meth:`evaluate_and_count`, :meth:`evaluate_insert_many`);
         leaving it None simply runs the scalar backend, which is
         result-identical.
@@ -305,15 +287,12 @@ class MGLegalizer:
             max_gaps_per_row=(
                 1 << 30 if exhaustive else self.params.max_gaps_per_row
             ),
-            gap_cache=cache,
             soa=soa,
         )
         margin = self.params.prune_margin
         max_points = (
             1 << 30 if exhaustive else self.params.max_insertion_points
         )
-        if self.params.candidate_order == "linear":
-            return context.evaluate_linear(max_points, margin)
         return context.evaluate_best_first(max_points, margin)
 
     def evaluate_insert_many(
@@ -321,7 +300,6 @@ class MGLegalizer:
         occupancy: Occupancy,
         tasks: Sequence[Tuple[int, Rect]],
         exhaustive: bool = False,
-        cache: Optional[GapCache] = None,
     ) -> List[Tuple[Optional[EvaluatedInsertion], int]]:
         """Batched :meth:`evaluate_insert` over ``(cell, window)`` tasks.
 
@@ -341,7 +319,7 @@ class MGLegalizer:
         return [
             self.evaluate_insert(
                 occupancy, cell, window,
-                exhaustive=exhaustive, cache=cache, soa=soa,
+                exhaustive=exhaustive, soa=soa,
             )
             for cell, window in tasks
         ]
@@ -355,11 +333,9 @@ class MGLegalizer:
     ) -> Optional[EvaluatedInsertion]:
         """Serial-path wrapper of :meth:`evaluate_insert` that records stats.
 
-        Never submit this to a thread pool — the stats update is a
-        read-modify-write on shared state (repro-lint C001), and the gap
-        cache is not thread-safe; submit :meth:`evaluate_insert` (with
-        its default ``cache=None``) and aggregate the counts serially
-        instead.
+        The stats update is a read-modify-write on shared state, so
+        concurrent evaluation must run :meth:`evaluate_insert` and
+        aggregate the counts serially instead (repro-lint C001).
         """
         best, _evaluated_points = self.evaluate_and_count(
             occupancy, cell, window, exhaustive=exhaustive
@@ -381,7 +357,7 @@ class MGLegalizer:
         """
         best, evaluated_points = self.evaluate_insert(
             occupancy, cell, window, exhaustive=exhaustive,
-            cache=self.gap_cache, soa=self.soa_for(occupancy),
+            soa=self.soa_for(occupancy),
         )
         self.stats["insertions_evaluated"] += evaluated_points
         return best, evaluated_points
@@ -564,7 +540,4 @@ class MGLegalizer:
                     placed, total, disp=disp_so_far(occupancy),
                     window_expansions=self.stats["window_expansions"],
                 )
-        if self.gap_cache is not None:
-            self.stats["gap_cache_hits"] = self.gap_cache.hits
-            self.stats["gap_cache_misses"] = self.gap_cache.misses
         return placement

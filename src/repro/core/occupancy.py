@@ -61,7 +61,7 @@ class Occupancy:
         self._placed: Set[int] = set()
         # Monotone per-row mutation counters: every add/update_x/remove
         # bumps the counter of each row the cell spans.  Caches derived
-        # from a row's contents (e.g. repro.core.insertion.GapCache) stay
+        # from a row's contents (the row snapshots of repro.core.soa) stay
         # valid exactly while the version they recorded is current.
         self._row_versions: List[int] = [0] * design.num_rows
         self._placed_view: Optional[FrozenSet[int]] = None

@@ -7,7 +7,7 @@ determinism guarantee exactly:
 
 * Every worker holds a read-only copy of the :class:`~repro.model.design.Design`
   and rebuilds the same :class:`~repro.core.mgl.MGLegalizer` evaluation
-  state (routability guard, height weights, gap cache) from
+  state (routability guard, height weights) from
   ``(design, params, reference)``; all of these are pure functions of
   the design and parameters.
 * Workers mirror the scheduler's :class:`~repro.core.occupancy.Occupancy`
@@ -177,8 +177,7 @@ def worker_main(conn: Connection) -> None:
                         )
                 eval_start = monotonic()
                 best, points = legalizer.evaluate_insert(
-                    occupancy, cell, window, cache=legalizer.gap_cache,
-                    soa=soa,
+                    occupancy, cell, window, soa=soa
                 )
                 payload = (
                     evaluation_span_payload(

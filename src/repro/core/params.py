@@ -59,17 +59,14 @@ class LegalizerParams:
             The default of 1 is plain sequential MGL — Python gains no
             wall-clock from batching (GIL), so the scheduler is for
             reproducing the paper's determinism claim, not for speed.
-        scheduler_threads: thread-pool size for the scheduler's
-            evaluation phase (0/1 = no pool).  Results are identical with
-            or without threads; see repro.core.scheduler.
         scheduler_workers: *process*-pool size for the scheduler's
-            evaluation phase (0 = in-process).  Unlike the GIL-bound
-            thread pool this buys real wall-clock speedup on multicore
-            hardware; placements are bit-identical to the in-process
-            path for any worker count (see repro.core.parallel).  Takes
-            precedence over ``scheduler_threads`` when both are set.
-            When ``shards > 1`` this is reused as the *shard* process
-            pool size instead (see repro.core.shard).
+            evaluation phase (0 = in-process).  Worker processes
+            sidestep the GIL, so this buys real wall-clock speedup on
+            multicore hardware; placements are bit-identical to the
+            in-process path for any worker count (see
+            repro.core.parallel).  When ``shards > 1`` this is reused
+            as the *shard* process pool size instead (see
+            repro.core.shard).
         shards: number of fence-aware row-band shards MGL partitions
             the die into (see repro.core.shard).  1 (the default) is
             the unsharded path; >1 legalizes shard interiors
@@ -86,21 +83,6 @@ class LegalizerParams:
             re-legalized full-die during reconciliation.
         seed_order: cell-ordering strategy for MGL
             ("height_area_x" | "gp_x" | "input").
-        candidate_order: insertion-point evaluation strategy inside
-            ``MGLegalizer.evaluate_insert``.  ``"best_first"`` pushes the
-            enumerated ``(bottom_row, gaps)`` combinations through a
-            lower-bound-ordered heap so the incumbent tightens early and
-            the bound prunes most exact evaluations; ``"linear"``
-            evaluates every enumerated candidate and then applies the
-            identical bound-ordered selection rule.  Both produce
-            bit-identical placements (see
-            tests/test_perf_equivalence.py); best_first is simply
-            faster.
-        use_gap_cache: memoize per-row gap enumeration across the
-            overlapping bottom rows of multi-row targets and across
-            scheduler re-evaluations, invalidated by occupancy row
-            versions (see repro.core.insertion.GapCache).  Results are
-            identical with or without the cache.
         eval_backend: insertion-evaluation backend.  ``"vector"`` (the
             default) routes ``InsertionContext.evaluate`` through the
             structure-of-arrays fast path (repro.core.soa): per-run
@@ -110,8 +92,7 @@ class LegalizerParams:
             ``"scalar"`` keeps the original per-candidate walk and is
             the oracle: both backends produce bit-identical placements
             and identical ``insertions_evaluated`` counts
-            (property-tested in tests/test_soa_equivalence.py), exactly
-            like the ``candidate_order`` contract.
+            (property-tested in tests/test_soa_equivalence.py).
     """
 
     window_width: int = 40
@@ -134,13 +115,10 @@ class LegalizerParams:
     max_gaps_per_row: int = 12
     prune_margin: float = 2.0
     scheduler_capacity: int = 1
-    scheduler_threads: int = 0
     scheduler_workers: int = 0
     shards: int = 1
     shard_halo_rows: int = 2
     seed_order: str = "height_area_x"
-    candidate_order: str = "best_first"
-    use_gap_cache: bool = True
     eval_backend: str = "vector"
 
     def validate(self) -> None:
@@ -153,21 +131,23 @@ class LegalizerParams:
             raise ValueError("max_expansions must be at least 1")
         if self.matching_delta0 is not None and self.matching_delta0 <= 0:
             raise ValueError("matching_delta0 must be positive")
+        if self.matching_max_group < 1:
+            raise ValueError("matching_max_group must be at least 1")
         if self.flow_n0 < 0:
             raise ValueError("flow_n0 must be non-negative")
+        if self.max_insertion_points < 1:
+            raise ValueError("max_insertion_points must be at least 1")
+        if self.max_gaps_per_row < 1:
+            raise ValueError("max_gaps_per_row must be at least 1")
         if self.seed_order not in ("height_area_x", "gp_x", "input"):
             raise ValueError(f"unknown seed_order {self.seed_order!r}")
         if self.scheduler_capacity < 1:
             raise ValueError("scheduler_capacity must be at least 1")
-        if self.scheduler_threads < 0:
-            raise ValueError("scheduler_threads must be non-negative")
         if self.scheduler_workers < 0:
             raise ValueError("scheduler_workers must be non-negative")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
         if self.shard_halo_rows < 0:
             raise ValueError("shard_halo_rows must be non-negative")
-        if self.candidate_order not in ("best_first", "linear"):
-            raise ValueError(f"unknown candidate_order {self.candidate_order!r}")
         if self.eval_backend not in ("vector", "scalar"):
             raise ValueError(f"unknown eval_backend {self.eval_backend!r}")

@@ -39,11 +39,12 @@ WalkPlan = Tuple[List[bool], List[IOPair]]
 class _GuardCaches(threading.local):
     """Per-thread memo caches for the guard's pure queries.
 
-    One :class:`RoutabilityGuard` is shared across the §3.5 scheduler's
-    worker threads, and ``evaluate_insert`` must not write shared state.
-    Every cached value is a pure function of its key, so per-thread
-    dicts trade some re-computation for race-free memoization without
-    changing any answer.
+    One :class:`RoutabilityGuard` is shared by every evaluation, and
+    ``evaluate_insert`` is contract-pure: repro-lint C002 rejects any
+    write to shared state it can reach.  A ``threading.local`` store is
+    private to its thread by construction, which is what lets these
+    memo writes sit under that contract.  Every cached value is a pure
+    function of its key, so memoization changes no answer.
     """
 
     def __init__(self) -> None:

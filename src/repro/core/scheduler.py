@@ -9,23 +9,20 @@ thread count once the ``L_p`` capacity is fixed.
 
 Our reproduction keeps exactly that structure.  Batch members are
 pairwise non-overlapping; their insertions are **evaluated** against the
-frozen batch-start occupancy — optionally on a thread pool
-(``scheduler_threads``) or, for real wall-clock speedup, on a process
-pool (``scheduler_workers``; see :mod:`repro.core.parallel`) — and then
-**applied** serially in selection order.  Since pushes may exit a window
-(up to the nearest wall), each application first verifies the evaluated
-moves are still conflict-free and silently re-evaluates when an earlier
-batch member interfered.  The result is therefore a pure function of
-the batch order — deterministic regardless of thread/process timing,
-the property the paper claims.  Python's GIL means the *thread* pool is
-about structure, not speed; the *process* pool is the one that scales
-with cores, at bit-identical placements.
+frozen batch-start occupancy — in-process, or on a process pool
+(``scheduler_workers``; see :mod:`repro.core.parallel`), which sidesteps
+the GIL that would serialize Python threads — and then **applied**
+serially in selection order.  Since pushes may exit a window (up to the
+nearest wall), each application first verifies the evaluated moves are
+still conflict-free and silently re-evaluates when an earlier batch
+member interfered.  The result is therefore a pure function of the
+batch order — deterministic regardless of worker count or timing, the
+property the paper claims.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.core.insertion import EvaluatedInsertion
@@ -60,7 +57,6 @@ class WindowScheduler:
         self.legalizer = legalizer
         self.occupancy = occupancy
         self.capacity = legalizer.params.scheduler_capacity
-        self.threads = legalizer.params.scheduler_threads
         self.workers = legalizer.params.scheduler_workers
         self.batches_run = 0
         self.reevaluations = 0
@@ -88,11 +84,6 @@ class WindowScheduler:
             cells=total_cells,
             capacity=self.capacity,
             workers=self.workers,
-        )
-        pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(max_workers=self.threads)
-            if self.threads > 1 and self.workers == 0
-            else None
         )
         parallel = None
         if self.workers >= 1:
@@ -124,7 +115,7 @@ class WindowScheduler:
                 with tracer.span("batch") as batch_span:
                     if tracer.enabled:
                         batch_span.set(size=len(batch))
-                    evaluations = self._evaluate_batch(batch, pool)
+                    evaluations = self._evaluate_batch(batch)
                     for (cell, scale, attempts, window), (
                         insertion, payload
                     ) in zip(batch, evaluations):
@@ -210,8 +201,6 @@ class WindowScheduler:
             legalizer.stats["scheduler_batches"] = self.batches_run
             legalizer.stats["scheduler_reevaluations"] = self.reevaluations
         finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
             if parallel is not None:
                 parallel.close()
 
@@ -238,26 +227,22 @@ class WindowScheduler:
             deferred.append(waiting.popleft())
         return batch, deferred
 
-    def _evaluate_batch(
-        self,
-        batch: List[Queued],
-        pool: Optional[ThreadPoolExecutor],
-    ) -> List[EvalOutcome]:
+    def _evaluate_batch(self, batch: List[Queued]) -> List[EvalOutcome]:
         """Evaluate all members against the frozen batch-start state.
 
         Returns one ``(insertion, payload)`` pair per batch member; the
         payload is the member's ``evaluate`` span and stays None when no
         tracer is enabled.  Whichever backend runs the evaluation —
-        worker process, thread pool, or in-process — the payload is the
-        same pure function of the task, so the trace structure never
-        depends on the backend.
+        worker process or in-process — the payload is the same pure
+        function of the task, so the trace structure never depends on
+        the backend.
 
         The in-process path hands the whole batch to
         :meth:`MGLegalizer.evaluate_insert_many`, so members share the
         legalizer's SoA mirror (row snapshots built for one window are
         reused by later members) and the batch width lands in the
-        ``mgl.batch_width`` histogram; the pool paths observe the same
-        width so the distribution stays backend-independent.
+        ``mgl.batch_width`` histogram; the process pool observes the
+        same width so the distribution stays backend-independent.
         """
         legalizer = self.legalizer
         traced = legalizer.tracer.enabled
@@ -270,40 +255,12 @@ class WindowScheduler:
             # rest of the run (identical placements either way).
             parallel.close()
             self.parallel = None
-        if pool is None or len(batch) <= 1:
-            results = legalizer.evaluate_insert_many(
-                self.occupancy,
-                [(cell, window) for cell, _scale, _attempts, window in batch],
-                cache=legalizer.gap_cache,
-            )
-            for _best, points in results:
-                legalizer.stats["insertions_evaluated"] += points
-            return [
-                (
-                    best,
-                    evaluation_span_payload(points, best)
-                    if traced and legalizer.tracer.sampled(cell)
-                    else None,
-                )
-                for (cell, _scale, _attempts, _window), (best, points)
-                in zip(batch, results)
-            ]
-        # Submit the pure evaluation (not try_insert: its stats update is
-        # a shared-state write) and fold the counts back in serially.  The
-        # SoA mirror is resolved *here*, on the scheduler thread, so the
-        # memo write happens before any pool thread reads it; the mirror's
-        # per-row snapshots are thread-local, making the shared instance
-        # safe to read concurrently.
-        self._observe_batch_width(len(batch))
-        soa = legalizer.soa_for(self.occupancy)
-        futures = [
-            pool.submit(legalizer.evaluate_insert, self.occupancy, cell,
-                        window, soa=soa)
-            for cell, _scale, _attempts, window in batch
-        ]
-        results = [future.result() for future in futures]
-        for _best, evaluated_points in results:
-            legalizer.stats["insertions_evaluated"] += evaluated_points
+        results = legalizer.evaluate_insert_many(
+            self.occupancy,
+            [(cell, window) for cell, _scale, _attempts, window in batch],
+        )
+        for _best, points in results:
+            legalizer.stats["insertions_evaluated"] += points
         return [
             (
                 best,
@@ -316,12 +273,12 @@ class WindowScheduler:
         ]
 
     def _observe_batch_width(self, width: int) -> None:
-        """Mirror ``evaluate_insert_many``'s histogram on the pool paths.
+        """Mirror ``evaluate_insert_many``'s histogram on the pool path.
 
-        The process/thread backends fan batch members out one task at a
-        time, so the batched entry point never sees them; observing the
-        width here keeps the ``mgl.batch_width`` distribution identical
-        across backends (the metrics determinism contract).
+        The process pool fans batch members out one task at a time, so
+        the batched entry point never sees them; observing the width
+        here keeps the ``mgl.batch_width`` distribution identical across
+        backends (the metrics determinism contract).
         """
         if self.legalizer.recorder is not None:
             self.legalizer.recorder.registry.observe(

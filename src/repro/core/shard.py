@@ -290,7 +290,6 @@ def interior_params(params: LegalizerParams) -> LegalizerParams:
         params,
         shards=1,
         scheduler_workers=0,
-        scheduler_threads=0,
         scheduler_capacity=1,
     )
 
@@ -562,8 +561,6 @@ _MERGED_STAT_KEYS = (
     "insertions_evaluated",
     "window_expansions",
     "cells_placed",
-    "gap_cache_hits",
-    "gap_cache_misses",
 )
 
 

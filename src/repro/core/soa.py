@@ -35,8 +35,9 @@ Synchronization: :class:`SoAState` snapshots occupancy rows through the
 public :meth:`Occupancy.row_positions` / :meth:`Occupancy.row_cells`
 accessors, keyed by :meth:`Occupancy.row_version` — a snapshot is
 rebuilt exactly when its row's version moved.  Snapshots live in
-``threading.local`` storage so the scheduler's thread pool can share
-one :class:`SoAState` across concurrent evaluations without locking.
+``threading.local`` storage: the store is private to its thread by
+construction, so filling it is not a shared-state write under the
+``evaluate_insert`` purity contract (repro-lint C002).
 """
 
 from __future__ import annotations
@@ -76,7 +77,11 @@ Sides = Tuple[Dict[int, int], int, Dict[int, int], int]
 
 
 class _RowCaches(threading.local):
-    """Thread-local row snapshot store (one dict per thread)."""
+    """Thread-local row snapshot store (one dict per thread).
+
+    Thread-local so that snapshot writes stay inside the
+    ``evaluate_insert`` purity contract (repro-lint C002).
+    """
 
     def __init__(self) -> None:
         self.rows: Dict[int, RowSnapshot] = {}

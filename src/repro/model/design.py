@@ -89,7 +89,7 @@ class Design:
 
         # Built eagerly (and rebuilt on every fence/blockage mutation)
         # so reads are pure: a lazily filled cache would be a shared
-        # write when first touched from the scheduler's worker threads.
+        # write when first touched from a pure evaluation (C002).
         self._segments_cache: Dict[int, List[Segment]] = build_row_segments(
             self.rows(), self.fences, self.blockages
         )

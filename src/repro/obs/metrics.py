@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` collects everything a run observes:
 
 * **counters** — monotone integer totals (insertions evaluated, cache
   hits, scheduler re-evaluations);
-* **gauges** — last-write-wins floats (gap-cache hit ratio);
+* **gauges** — last-write-wins floats;
 * **timings** — accumulated stage seconds plus call counts (the
   :class:`repro.perf.PerfRecorder` stage timers live here);
 * **histograms** — fixed-bucket distributions: per-height-class

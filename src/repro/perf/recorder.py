@@ -11,8 +11,8 @@ The recorder is injected explicitly — there is no module-global
 recorder — so un-instrumented runs pay nothing and instrumented runs
 stay easy to reason about: recording happens only in the serial
 orchestration layers (:class:`repro.core.legalizer.Legalizer`, the CLI,
-benchmark drivers), never inside the pure evaluation paths the
-scheduler's thread pool may execute.
+benchmark drivers), never inside the pure evaluation paths that worker
+processes execute.
 
 Timings are wall-clock and therefore non-deterministic; they live only
 in perf reports and never feed back into any placement decision.
@@ -85,26 +85,9 @@ class PerfRecorder:
 
     # -- reporting -----------------------------------------------------
 
-    def derived(self) -> Dict[str, float]:
-        """Rates computed from counters, kept out of the raw sections.
-
-        Currently: ``gap_cache_hit_rate`` (percent), when any gap-cache
-        traffic was counted.
-        """
-        rates: Dict[str, float] = {}
-        hits = self.registry.counters.get("mgl.gap_cache_hits", 0)
-        misses = self.registry.counters.get("mgl.gap_cache_misses", 0)
-        if hits + misses > 0:
-            rates["gap_cache_hit_rate"] = 100.0 * hits / (hits + misses)
-        return rates
-
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot of every registry section plus derived rates."""
-        payload = self.registry.as_dict()
-        payload["derived"] = {
-            name: round(value, 6) for name, value in self.derived().items()
-        }
-        return payload
+        """JSON-ready snapshot of every registry section."""
+        return self.registry.as_dict()
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
@@ -114,11 +97,7 @@ class PerfRecorder:
             handle.write(self.to_json() + "\n")
 
     def summary(self) -> str:
-        """Human-readable report, stages by descending time.
-
-        Derived rates render in their own ``derived`` section rather than
-        being mixed into the raw counter listing.
-        """
+        """Human-readable report, stages by descending time."""
         lines = ["perf summary"]
         timings = self.registry.timings
         total = sum(timings.values())
@@ -138,13 +117,6 @@ class PerfRecorder:
             for name in sorted(self.registry.gauges):
                 lines.append(
                     f"  {name:32s} {self.registry.gauges[name]:>12.4f}"
-                )
-        derived = self.derived()
-        if derived:
-            lines.append("derived")
-            if "gap_cache_hit_rate" in derived:
-                lines.append(
-                    f"  gap cache hit rate: {derived['gap_cache_hit_rate']:.1f}%"
                 )
         return "\n".join(lines)
 

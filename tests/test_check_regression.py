@@ -16,7 +16,7 @@ spec.loader.exec_module(check_regression)
 
 
 def make_run(name, scale=0.004, seconds=1.0, evals=100, expansions=5,
-             hit_rate=0.25, placement_hash="aaaa"):
+             placement_hash="aaaa"):
     return {
         "name": name,
         "scale": scale,
@@ -24,7 +24,6 @@ def make_run(name, scale=0.004, seconds=1.0, evals=100, expansions=5,
         "seconds": seconds,
         "insertions_evaluated": evals,
         "window_expansions": expansions,
-        "gap_cache_hit_rate": hit_rate,
         "placement_hash": placement_hash,
     }
 
@@ -98,17 +97,12 @@ class TestCounterDeltas:
         )
 
     def test_moved_counters_printed_with_signs(self, tmp_path, capsys):
-        baseline = make_report(
-            [make_run("a", evals=100, expansions=5, hit_rate=0.25)]
-        )
-        fresh = make_report(
-            [make_run("a", evals=90, expansions=7, hit_rate=0.5)]
-        )
+        baseline = make_report([make_run("a", evals=100, expansions=5)])
+        fresh = make_report([make_run("a", evals=90, expansions=7)])
         assert run_main(tmp_path, baseline, fresh) == 0
         out = capsys.readouterr().out
         assert "insertions_evaluated 100 -> 90 (-10)" in out
         assert "window_expansions 5 -> 7 (+2)" in out
-        assert "gap_cache_hit_rate 25.0% -> 50.0%" in out
 
 
 class TestTimeGate:

@@ -129,48 +129,6 @@ class TestPerfRecorderShim:
         assert recorder.counters == {"mgl.hits": 3, "mgl.misses": 1}
 
 
-class TestDerivedRates:
-    """Satellite fix: derived rates live in their own section, not the
-    raw counters, both in summaries and JSON output."""
-
-    def build(self, hits=3, misses=1):
-        recorder = PerfRecorder()
-        recorder.record("mgl", 1.0)
-        recorder.merge_counters(
-            {"gap_cache_hits": hits, "gap_cache_misses": misses},
-            prefix="mgl.",
-        )
-        return recorder
-
-    def test_derived_requires_traffic(self):
-        assert PerfRecorder().derived() == {}
-        assert self.build().derived() == {
-            "gap_cache_hit_rate": pytest.approx(75.0)
-        }
-
-    def test_summary_has_a_derived_section(self):
-        summary = self.build().summary()
-        assert "derived" in summary
-        assert "hit rate: 75.0%" in summary
-        # The rate renders after the raw counters, inside "derived".
-        assert summary.index("derived") > summary.index("counters")
-        assert summary.index("hit rate") > summary.index("derived")
-
-    def test_as_dict_separates_derived_from_counters(self):
-        payload = self.build().as_dict()
-        assert payload["derived"] == {"gap_cache_hit_rate": 75.0}
-        assert "gap_cache_hit_rate" not in payload["counters"]
-        # And an untrafficked recorder still has the (empty) section.
-        assert PerfRecorder().as_dict()["derived"] == {}
-
-    def test_write_json_round_trips(self, tmp_path):
-        path = tmp_path / "profile.json"
-        self.build().write_json(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["derived"]["gap_cache_hit_rate"] == 75.0
-        assert payload["counters"]["mgl.gap_cache_hits"] == 3
-
-
 class TestPrometheusRendering:
     def build(self) -> MetricsRegistry:
         registry = MetricsRegistry()

@@ -1,26 +1,25 @@
 """Equivalence properties of the perf-optimized hot paths.
 
-The PR that introduced the gap cache, best-first candidate evaluation,
-and the compiled :class:`~repro.core.curves.CurveSet` claims all three
-are *pure* optimizations: placements (and the placement-relevant stats)
-are bit-identical with or without them.  These tests pin that contract:
+Best-first candidate evaluation and the compiled
+:class:`~repro.core.curves.CurveSet` are *pure* optimizations:
+placements (and the placement-relevant stats) are bit-identical to
+their reference forms.  These tests pin that contract:
 
-* ``candidate_order=best_first`` vs ``linear`` — identical placements,
-  identical cells placed and window expansions, and the lazy path never
-  evaluates more insertion points than the exhaustive one;
-* ``use_gap_cache`` on vs off — identical placements and identical
-  evaluation counts (the cache may only skip re-*enumeration*);
+* :meth:`InsertionContext.evaluate_best_first` vs the exhaustive
+  :func:`evaluate_linear` oracle below — identical placements, identical
+  cells placed and window expansions, and the lazy path never evaluates
+  more insertion points than the exhaustive one;
 * ``CurveSet.value`` / ``minimize`` vs the reference
   :meth:`DisplacementCurve.value` walk and
   :func:`minimize_over_sites` — equal to the last bit;
-* the :class:`~repro.core.insertion.GapCache` invalidation contract
-  against :meth:`Occupancy.row_version`;
 * the :class:`repro.perf.PerfRecorder` bookkeeping itself.
 """
 
 import json
 import random
+from typing import List, Optional, Tuple
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.curves import (
@@ -29,14 +28,12 @@ from repro.core.curves import (
     minimize_over_sites,
     sum_curves,
 )
-from repro.core.insertion import GapCache, InsertionContext
+from repro.core.insertion import EvaluatedInsertion, InsertionContext
 from repro.core.mgl import MGLegalizer
-from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
 from repro.model.design import Design
 from repro.model.fence import FenceRegion
 from repro.model.geometry import Rect
-from repro.model.placement import Placement
 from repro.model.technology import CellType, Technology
 from repro.perf import PerfRecorder
 
@@ -89,6 +86,37 @@ def run_once(design: Design, **overrides: object) -> "tuple":
     return list(zip(placement.x, placement.y)), dict(legalizer.stats)
 
 
+def evaluate_linear(
+    context: InsertionContext, max_points: int, margin: float
+) -> Tuple[Optional[EvaluatedInsertion], int]:
+    """Reference evaluation: cost every candidate, then select.
+
+    Evaluates the full enumeration in its natural order (no pruning, so
+    the evaluated count covers every candidate) and replays the
+    bound-ordered stop rule over the known costs, yielding the exact
+    winner :meth:`InsertionContext.evaluate_best_first` converges to.
+    """
+    entries: List[Tuple[float, int, Optional[EvaluatedInsertion]]] = []
+    for bottom_row, gaps in context.enumerate_insertion_points(max_points):
+        bound = context.target_cost_lower_bound(bottom_row, gaps)
+        entries.append(
+            (bound, len(entries), context.evaluate(bottom_row, gaps))
+        )
+    entries.sort(key=lambda entry: (entry[0], entry[1]))
+    best: Optional[EvaluatedInsertion] = None
+    best_key: Optional[Tuple[float, int, int, int]] = None
+    for bound, order, result in entries:
+        if best is not None and bound > best.cost + margin:
+            break
+        if result is None:
+            continue
+        key = (result.cost, result.y, result.x, order)
+        if best_key is None or key < best_key:
+            best = result
+            best_key = key
+    return best, len(entries)
+
+
 class TestTraversalEquivalence:
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -97,12 +125,15 @@ class TestTraversalEquivalence:
     def test_best_first_matches_linear(self, seed, density, with_fence,
                                        capacity):
         design = build_design(seed, density, with_fence)
-        fast_pos, fast_stats = run_once(
-            design, candidate_order="best_first", scheduler_capacity=capacity
-        )
-        lin_pos, lin_stats = run_once(
-            design, candidate_order="linear", scheduler_capacity=capacity
-        )
+        fast_pos, fast_stats = run_once(design, scheduler_capacity=capacity)
+        # Hypothesis rejects the function-scoped monkeypatch fixture.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                InsertionContext, "evaluate_best_first", evaluate_linear
+            )
+            lin_pos, lin_stats = run_once(
+                design, scheduler_capacity=capacity
+            )
         assert fast_pos == lin_pos
         assert fast_stats["cells_placed"] == lin_stats["cells_placed"]
         assert (
@@ -113,23 +144,6 @@ class TestTraversalEquivalence:
             fast_stats["insertions_evaluated"]
             <= lin_stats["insertions_evaluated"]
         )
-
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 10_000), density=st.floats(0.2, 0.6),
-           with_fence=st.booleans())
-    def test_gap_cache_is_transparent(self, seed, density, with_fence):
-        design = build_design(seed, density, with_fence)
-        cached_pos, cached_stats = run_once(design, use_gap_cache=True)
-        plain_pos, plain_stats = run_once(design, use_gap_cache=False)
-        assert cached_pos == plain_pos
-        # The cache skips re-enumeration, never an exact evaluation.
-        assert (
-            cached_stats["insertions_evaluated"]
-            == plain_stats["insertions_evaluated"]
-        )
-        assert plain_stats["gap_cache_hits"] == 0
-        assert plain_stats["gap_cache_misses"] == 0
 
 
 def random_curves(rng: random.Random, count: int) -> "list[DisplacementCurve]":
@@ -195,70 +209,6 @@ def small_design() -> Design:
     return design
 
 
-def context_for(design: Design, occupancy: Occupancy, cell: int,
-                cache: "GapCache | None") -> InsertionContext:
-    return InsertionContext(
-        design,
-        occupancy,
-        cell,
-        design.chip_rect,
-        weight_of=lambda _c: 1.0,
-        gap_cache=cache,
-    )
-
-
-class TestGapCacheInvalidation:
-    def test_hit_then_invalidate_on_row_mutation(self):
-        design = small_design()
-        placement = Placement(design)
-        occupancy = Occupancy(design, placement)
-        placement.move(0, 0, 0)
-        occupancy.add(0)
-        cache = GapCache()
-        context = context_for(design, occupancy, 1, cache)
-        first = cache.gaps_in_row(context, 0)
-        again = cache.gaps_in_row(context, 0)
-        assert again is first  # served from cache, shared list
-        assert cache.hits == 1 and cache.misses == 1
-        # The context itself memoizes per row: its first lookup hits the
-        # cache, repeats never touch it again.
-        assert context.gaps_in_row(0) is first
-        assert context.gaps_in_row(0) is first
-        assert cache.hits == 2 and cache.misses == 1
-        # Mutating row 0 bumps its version; the entry must be recomputed.
-        version = occupancy.row_version(0)
-        occupancy.update_x(0, 2)
-        assert occupancy.row_version(0) > version
-        recomputed = cache.gaps_in_row(context, 0)
-        assert recomputed is not first
-        assert cache.misses == 2
-        # Fresh result matches an uncached context bit for bit.
-        plain = context_for(design, occupancy, 1, None)
-        assert recomputed == plain.gaps_in_row(0)
-
-    def test_rebinds_on_new_occupancy(self):
-        design = small_design()
-        cache = GapCache()
-        occ_a = Occupancy(design, Placement(design))
-        context_a = context_for(design, occ_a, 1, cache)
-        context_a.gaps_in_row(1)
-        assert cache.misses == 1
-        occ_b = Occupancy(design, Placement(design))
-        context_b = context_for(design, occ_b, 1, cache)
-        context_b.gaps_in_row(1)
-        # Entries from occ_a must not leak into occ_b's queries.
-        assert cache.misses == 2
-
-    def test_overflow_clears_instead_of_growing(self):
-        design = small_design()
-        occupancy = Occupancy(design, Placement(design))
-        cache = GapCache(max_entries=2)
-        context = context_for(design, occupancy, 1, cache)
-        for row in range(5):
-            context.gaps_in_row(row)
-        assert len(cache._entries) <= 2
-
-
 class TestPerfRecorder:
     def test_stage_and_counters(self):
         recorder = PerfRecorder()
@@ -276,16 +226,15 @@ class TestPerfRecorder:
     def test_json_roundtrip(self, tmp_path):
         recorder = PerfRecorder()
         recorder.record("mgl", 1.5)
-        recorder.count("mgl.gap_cache_hits", 3)
-        recorder.count("mgl.gap_cache_misses", 1)
+        recorder.count("mgl.insertions_evaluated", 3)
         path = tmp_path / "perf.json"
         recorder.write_json(str(path))
         payload = json.loads(path.read_text())
         assert payload["timings"]["mgl"] == 1.5
-        assert payload["counters"]["mgl.gap_cache_hits"] == 3
+        assert payload["counters"]["mgl.insertions_evaluated"] == 3
         summary = recorder.summary()
         assert "mgl" in summary
-        assert "hit rate: 75.0%" in summary
+        assert "mgl.insertions_evaluated" in summary
 
     def test_legalizer_records_stages(self):
         design = small_design()

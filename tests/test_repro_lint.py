@@ -196,6 +196,26 @@ def test_c002_unresolvable_contract_reported_in_home_module():
     assert "does not resolve" in violations[0].message
 
 
+def test_c002_stale_scratch_parameter_reported_at_def():
+    # A scratch name the function does not take sanctions nothing, so
+    # the entry is stale and must fail loudly at the contract's def.
+    config = replace(
+        FIXTURE_CONFIG,
+        pure_contracts=(
+            "tests.lint_fixtures.c002_good.Engine.evaluate(scratch, cache)",
+        ),
+    )
+    violations = lint_fixture("c002_good.py", config)
+    assert codes(violations) == ["C002"]
+    assert len(violations) == 1
+    assert "scratch parameter 'cache'" in violations[0].message
+    source = (REPO_ROOT / FIXTURES / "c002_good.py").read_text()
+    def_line = source.splitlines().index(
+        "    def evaluate(self, candidate, scratch=None):"
+    ) + 1
+    assert violations[0].line == def_line
+
+
 def test_c002_unresolvable_contract_quiet_outside_home_module():
     # The same stale entry must NOT fire when the contract's home
     # module is not part of the scan (fixture runs, partial scans).
@@ -798,15 +818,8 @@ def test_syntax_error_reported_not_crashing(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
-def test_scheduler_submits_pure_evaluation():
-    """The scheduler must submit evaluate_insert, never try_insert."""
-    scheduler = (REPO_ROOT / "src/repro/core/scheduler.py").read_text()
-    assert "pool.submit(legalizer.evaluate_insert" in scheduler
-    assert "pool.submit(legalizer.try_insert" not in scheduler
-
-
 def test_guard_caches_are_thread_local():
-    """C001/C002 forced the routability guard's memo caches onto
+    """C002 forced the routability guard's memo caches onto
     threading.local; keep them there."""
     refine = (REPO_ROOT / "src/repro/core/refine.py").read_text()
     assert "threading.local" in refine
@@ -814,6 +827,6 @@ def test_guard_caches_are_thread_local():
 
 def test_design_segments_built_eagerly():
     """The segments cache is built in __init__ / on mutation, never
-    lazily from a reader (readers run on scheduler worker threads)."""
+    lazily from a reader (readers run inside pure evaluations, C002)."""
     design = (REPO_ROOT / "src/repro/model/design.py").read_text()
     assert "_rebuild_segments" in design

@@ -387,16 +387,23 @@ class TestParamsAndCli:
             LegalizerParams(shards=0).validate()
         with pytest.raises(ValueError):
             LegalizerParams(shard_halo_rows=-1).validate()
+        # Zero would fail deep in a stage (matching's chunking range
+        # step) or silently (every window empty until the exhaustive
+        # chip-window fallback).
+        for knob in (
+            "matching_max_group", "max_insertion_points", "max_gaps_per_row"
+        ):
+            with pytest.raises(ValueError, match=knob):
+                LegalizerParams(**{knob: 0}).validate()
 
     def test_interior_params_strip_nested_parallelism(self):
         params = LegalizerParams(
             shards=4, shard_halo_rows=3, scheduler_workers=8,
-            scheduler_threads=4, scheduler_capacity=16,
+            scheduler_capacity=16,
         )
         inner = interior_params(params)
         assert inner.shards == 1
         assert inner.scheduler_workers == 0
-        assert inner.scheduler_threads == 0
         assert inner.scheduler_capacity == 1
         assert inner.shard_halo_rows == 3  # halo is topology, kept as-is
 

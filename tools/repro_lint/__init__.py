@@ -2,7 +2,7 @@
 
 Checks the reproduction's standing invariants (seeded randomness,
 pinned iteration order, integer site math, clock-free algorithms, pure
-thread-pool evaluation) without running the code.  See
+evaluation contracts) without running the code.  See
 ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and rationale.
 """
 

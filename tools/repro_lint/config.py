@@ -51,18 +51,19 @@ DEFAULT_ALGORITHM_MODULES: Tuple[str, ...] = (
     "src/repro/model/",
 )
 
-#: C001: modules whose thread-pool submissions are race-checked.
+#: C001: modules whose thread-pool submissions are race-checked (none
+#: submit today; the scope keeps a reintroduced pool under the check).
 DEFAULT_SCHEDULER_MODULES: Tuple[str, ...] = (
     "src/repro/core/scheduler.py",
 )
 
 #: C002: callables verified transitively free of shared-state writes.
 #: A trailing parenthesized list names caller-owned *scratch* parameters
-#: whose state the contract explicitly sanctions writes to — e.g. the
-#: ``cache`` of ``evaluate_insert`` ("pool submissions must leave cache
-#: as None"; single-owner callers may pass their private GapCache).
+#: whose state the contract explicitly sanctions writes to, e.g.
+#: ``"pkg.Engine.evaluate(scratch)"``; each must be a parameter of the
+#: function.
 DEFAULT_PURE_CONTRACTS: Tuple[str, ...] = (
-    "repro.core.mgl.MGLegalizer.evaluate_insert(cache)",
+    "repro.core.mgl.MGLegalizer.evaluate_insert",
     "repro.core.parallel.worker_main",
 )
 

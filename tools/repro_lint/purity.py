@@ -13,7 +13,7 @@ Each value is classified on a small lattice:
   it (literals, comprehensions, constructor calls and their captured
   attribute map);
 * **scratch** — caller-owned state a C002 contract explicitly sanctions
-  writes to (e.g. the ``cache`` parameter of ``evaluate_insert``).
+  writes to (e.g. the ``scratch`` of ``Engine.evaluate(scratch)``).
 
 Fresh *instances* of project classes carry a per-attribute
 classification derived from walking ``__init__`` with the call-site

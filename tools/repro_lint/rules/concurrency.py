@@ -1,9 +1,10 @@
 """Concurrency rule C001: thread-pool shared-state race detector.
 
-The §3.5 scheduler is only deterministic because everything submitted to
-its ``ThreadPoolExecutor`` is a *pure evaluation*: the docstring
-contract is "evaluation never mutates state".  This rule enforces that
-contract statically.  For every ``<pool>.submit(fn, ...)`` in a
+The §3.5 scheduler is only deterministic because its evaluation phase
+is *pure*: the docstring contract is "evaluation never mutates state".
+The scheduler evaluates in-process or on worker processes and submits
+nothing to a thread pool today; this rule keeps a reintroduced pool
+honest.  For every ``<pool>.submit(fn, ...)`` in a
 scheduler module it resolves ``fn`` through the project symbol table —
 a local def, lambda, ``self.method``, or a method of an
 annotation/constructor-typed receiver — and hands it to the shared
@@ -13,10 +14,10 @@ constructed objects that capture shared state* (the hole the original
 per-file walker documented).
 
 Call-site awareness matters: parameters the submission does not pass
-take their default-value classification, so ``evaluate_insert``'s
-``cache=None`` contract is checked as actually submitted.  An
-unresolvable submission target is itself a violation: the scheduler
-must only submit callables the race analyzer can check.
+take their default-value classification, so a ``scratch=None`` default
+is checked as actually submitted.  An unresolvable submission target is
+itself a violation: the scheduler must only submit callables the race
+analyzer can check.
 """
 
 from __future__ import annotations

@@ -2,18 +2,19 @@
 
 The reproduction's determinism argument names a handful of callables
 that must be *pure evaluations* no matter who calls them: the
-``evaluate_insert`` the §3.5 scheduler fans out to its thread pool, and
-the ``repro.core.parallel`` worker entry point that replays journal
-deltas against a process-local mirror.  ``[tool.repro-lint]
-pure-contracts`` lists them; this rule verifies each one transitively —
-across module boundaries, into methods of locally constructed objects
-that capture shared state — using the shared
+``evaluate_insert`` the §3.5 scheduler runs in-process and in its
+worker processes, and the ``repro.core.parallel`` worker entry point
+that replays journal deltas against a process-local mirror.
+``[tool.repro-lint] pure-contracts`` lists them; this rule verifies each
+one transitively — across module boundaries, into methods of locally
+constructed objects that capture shared state — using the shared
 :class:`~tools.repro_lint.purity.PurityWalker`.
 
 A contract may sanction writes through specific *scratch* parameters —
-``"...evaluate_insert(cache)"`` marks ``cache`` as caller-owned scratch
-state (the documented "pool submissions must leave cache as None"
-contract: only single-owner callers pass a private GapCache).
+``"pkg.Engine.evaluate(scratch)"`` marks ``scratch`` as caller-owned
+state the call may write.  A scratch name the function does not take
+sanctions nothing, so it is reported as a stale entry, like a contract
+that does not resolve.
 
 Violations are attached to the contract's ``def`` line in its defining
 file; the message cites the offending write site.  The incremental
@@ -63,6 +64,15 @@ class PurityContractRule(Rule):
                 continue
             walker = PurityWalker(symbols)
             env = self._contract_env(walker, fn, contract.scratch_params)
+            for name in contract.scratch_params:
+                if name not in env:
+                    violations.append(Violation(
+                        source.rel_path, fn.node.lineno, fn.node.col_offset,
+                        self.code,
+                        f"pure contract '{contract.qname}' names scratch "
+                        f"parameter '{name}', which the function does not "
+                        f"take; update [tool.repro-lint] pure-contracts",
+                    ))
             walker.walk_function(fn, env)
             for finding in walker.findings:
                 violations.append(Violation(
