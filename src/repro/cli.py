@@ -17,6 +17,11 @@ Computed results (scores, summaries, tables) go to stdout; diagnostics
 ("wrote X") go through :mod:`repro.obs.log` to stderr, tunable with the
 global ``--log-level`` / ``--log-format`` flags — so piping ``repro``
 output stays clean.
+
+Exit codes: 0 on success; 1 when the command ran but its result is bad
+(an illegal placement, a cell no window can hold, drift in the run
+store); 2 on bad arguments or an input file that does not parse (the
+error names ``path:line``).
 """
 
 from __future__ import annotations
@@ -24,10 +29,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Tuple, cast
+from typing import (
+    Callable, Dict, List, Optional, TYPE_CHECKING, Tuple, TypeVar, cast,
+)
 
 from repro import LegalizerParams, legalize
 from repro.checker import check_legal, contest_score, count_routability_violations
+from repro.core.mgl import LegalizationError
 from repro.io import load_design, load_placement, save_design, save_placement
 from repro.obs.clock import monotonic
 from repro.obs.log import FORMATS, LEVELS, get_logger, setup_logging
@@ -43,6 +51,23 @@ if TYPE_CHECKING:
 DEFAULT_STORE = ".repro-runs"
 
 log = get_logger("cli")
+
+_T = TypeVar("_T")
+
+
+class InputFileError(Exception):
+    """An input file failed to parse; :func:`main` reports it, exit 2."""
+
+
+def _read(load: Callable[..., _T], *args: object) -> _T:
+    """Call a file loader, re-raising its ValueError as InputFileError.
+
+    The loaders' messages name ``path:line``; :func:`main` logs them.
+    """
+    try:
+        return load(*args)
+    except ValueError as exc:
+        raise InputFileError(str(exc)) from exc
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -157,7 +182,7 @@ def cmd_legalize(args: argparse.Namespace) -> int:
         write_manifest,
     )
 
-    design = load_design(args.design)
+    design = _read(load_design, args.design)
     params = _params_from(args)
     run_dir: Optional[Path] = Path(args.run_dir) if args.run_dir else None
     if run_dir is not None:
@@ -181,6 +206,9 @@ def cmd_legalize(args: argparse.Namespace) -> int:
             design, params, recorder=recorder, tracer=tracer,
             progress=progress,
         )
+    except LegalizationError as exc:
+        log.error("%s: %s", args.design, exc)
+        return 1
     finally:
         if progress is not None and progress.sink is not None:
             progress.sink.close()
@@ -353,8 +381,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    design = load_design(args.design)
-    placement = load_placement(design, args.placement)
+    design = _read(load_design, args.design)
+    placement = _read(load_placement, design, args.placement)
     if args.verbose:
         from repro.checker import placement_report
 
@@ -384,7 +412,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.core.flowopt import optimize_fixed_row_order
     from repro.core.mgl import MGLegalizer
 
-    design = load_design(args.design)
+    design = _read(load_design, args.design)
 
     def ours(d: "Design") -> "Placement":
         params = LegalizerParams(
@@ -415,7 +443,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_import_bookshelf(args: argparse.Namespace) -> int:
     from repro.io import load_bookshelf
 
-    design, placement = load_bookshelf(args.aux)
+    design, placement = _read(load_bookshelf, args.aux)
     save_design(design, args.output)
     log.info("imported %s from %s", design, args.aux)
     if args.placement:
@@ -427,9 +455,11 @@ def cmd_import_bookshelf(args: argparse.Namespace) -> int:
 def cmd_export_bookshelf(args: argparse.Namespace) -> int:
     from repro.io import save_bookshelf
 
-    design = load_design(args.design)
+    design = _read(load_design, args.design)
     placement = (
-        load_placement(design, args.placement) if args.placement else None
+        _read(load_placement, design, args.placement)
+        if args.placement
+        else None
     )
     aux = save_bookshelf(design, args.output, placement=placement)
     log.info("wrote Bookshelf bundle: %s", aux)
@@ -439,8 +469,8 @@ def cmd_export_bookshelf(args: argparse.Namespace) -> int:
 def cmd_svg(args: argparse.Namespace) -> int:
     from repro.viz import render_displacement_svg, render_placement_svg
 
-    design = load_design(args.design)
-    placement = load_placement(design, args.placement)
+    design = _read(load_design, args.design)
+    placement = _read(load_placement, design, args.placement)
     if args.displacement:
         svg = render_displacement_svg(placement)
     else:
@@ -594,6 +624,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     setup_logging(args.log_level, fmt=args.log_format)
     try:
         return cast(int, args.func(args))
+    except InputFileError as exc:
+        log.error("%s", exc)
+        return 2
     except BrokenPipeError:
         # Downstream closed the pipe (`repro report … | head`); redirect
         # stdout to devnull so the interpreter's final flush stays quiet.

@@ -502,7 +502,17 @@ class InsertionContext:
         Optional[Tuple[float, int, int, int]],
         int,
     ]:
-        """Pop and evaluate heap entries whose bound is within ``threshold``."""
+        """Pop and evaluate heap entries whose bound is within ``threshold``.
+
+        The vector backend also receives the entry's bound, the
+        incumbent cost and ``margin``, and may return None for a
+        candidate it proves costlier than the incumbent (see
+        :meth:`repro.core.soa.VectorEvaluator.evaluate`).  Such a
+        candidate could never replace the incumbent, so the winner and
+        every later stop-rule test are unchanged, and it still counts
+        as evaluated.
+        """
+        vector = self._vector
         while heap and heap[0][0] <= threshold:
             bound, order, bottom_row, gaps = heappop(heap)
             if best is not None and bound > best.cost + margin:
@@ -510,7 +520,13 @@ class InsertionContext:
                 # (the incumbent cannot improve without evaluations).
                 heap.clear()
                 break
-            result = self.evaluate(bottom_row, gaps)
+            if vector is None:
+                result = self.evaluate_scalar(bottom_row, gaps)
+            else:
+                result = vector.evaluate(
+                    bottom_row, gaps, bound,
+                    math.inf if best is None else best.cost, margin,
+                )
             evaluated_points += 1
             if result is None:
                 continue

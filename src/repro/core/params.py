@@ -9,6 +9,7 @@ max-vs-average weight ``n_0`` of Eq. 8 (§3.3.1), routability penalties
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,6 +55,10 @@ class LegalizerParams:
         prune_margin: slack (row-height units) added to the incumbent cost
             when pruning insertion points by the target-only lower bound;
             covers local-cell displacement *reductions* the bound ignores.
+            It also stops the vector backend's savings-cap scan: a window
+            whose local cells could save ``prune_margin`` or more never
+            lets the dominance cut-off skip a candidate before its push
+            (see repro.core.soa.VectorEvaluator.evaluate).
         scheduler_capacity: max simultaneously processed windows (the
             ``L_p`` capacity of §3.5); determinism holds for any value.
             The default of 1 is plain sequential MGL — Python gains no
@@ -139,6 +144,18 @@ class LegalizerParams:
             raise ValueError("max_insertion_points must be at least 1")
         if self.max_gaps_per_row < 1:
             raise ValueError("max_gaps_per_row must be at least 1")
+        # The dominance cut-off (repro.core.soa) bounds a candidate's
+        # finished cost from below by assuming non-negative guard
+        # penalties, and a NaN margin disables the best-first stop rule.
+        for name in (
+            "io_penalty", "blocked_penalty", "prune_margin",
+            "guard_max_shift", "feasible_range_limit",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if self.seed_order not in ("height_area_x", "gp_x", "input"):
             raise ValueError(f"unknown seed_order {self.seed_order!r}")
         if self.scheduler_capacity < 1:

@@ -29,7 +29,10 @@ runs containing multi-row or out-of-segment cells) fall back to the
 scalar evaluator, keeping the two backends' outputs — placements *and*
 ``insertions_evaluated`` counts — provably equal; the property is
 enforced by tests/test_soa_equivalence.py with ``eval_backend=scalar``
-as the oracle.
+as the oracle.  Given the best-first walk's incumbent,
+:meth:`VectorEvaluator.evaluate` also skips the push or the finish of
+a candidate that two lower bounds prove costlier (the dominance
+cut-off); such a candidate could not have won, so the equality holds.
 
 Synchronization: :class:`SoAState` snapshots occupancy rows through the
 public :meth:`Occupancy.row_positions` / :meth:`Occupancy.row_cells`
@@ -74,6 +77,17 @@ RowSnapshot = Tuple[
 #: outward-ascending, left side outward-descending) because the curve
 #: summation downstream is float and order-sensitive.
 Sides = Tuple[Dict[int, int], int, Dict[int, int], int]
+
+#: Row heights by which a dominance bound must exceed the incumbent
+#: before :meth:`VectorEvaluator.evaluate` skips a candidate.  The bound
+#: and the finished cost are float evaluations of real-valued sums and
+#: curve folds over n terms (target, row constant, one per pushed or
+#: window-local cell).  With unit round-off u = 2**-53, each is off by
+#: at most about n * u * S, S the sum of the terms' magnitudes; for
+#: n <= 1e4 terms and S <= 1e4 row heights that is 1.2e-8, two orders
+#: below this tolerance.  A bound that clears the incumbent by it thus
+#: proves the finished cost above the incumbent: the candidate loses.
+CUTOFF_TOLERANCE = 1e-6
 
 
 class _RowCaches(threading.local):
@@ -232,14 +246,16 @@ class _SegTable:
 class VectorEvaluator:
     """Per-context vectorized evaluation over one :class:`SoAState`.
 
-    Owns two lazy caches, both valid for the context's lifetime (the
+    Owns lazy caches, all valid for the context's lifetime (the
     occupancy is frozen while a context exists):
 
     * per-(row, segment) run tables for the O(1) fast-path push
       analysis (:meth:`evaluate`);
     * per-row vectorized lower-bound tables feeding the best-first
       heap's prefilter (:meth:`lower_bound`), keyed by gap identity —
-      gap lists are memoized on the context, so identities are stable.
+      gap lists are memoized on the context, so identities are stable;
+    * the dominance cut-off's savings cap and per-segment bound slack
+      (see :meth:`evaluate`).
     """
 
     def __init__(self, context: "InsertionContext", soa: SoAState):
@@ -247,6 +263,11 @@ class VectorEvaluator:
         self.soa = soa
         self._segments: Dict[Tuple[int, int], _SegTable] = {}
         self._bounds: Dict[int, Dict[int, float]] = {}
+        # The savings cap, and the sites by which a segment's rough gap
+        # bounds may overstate the target's reach (absent = 0); see
+        # evaluate().
+        self._cap: Optional[float] = None
+        self._bound_slack: Dict[Tuple[int, int], float] = {}
         self._width_t = context.target_type.width
         self._multi_row = context.target_type.height != 1
         self._target_code = soa.type_code_of[context.target_type.name]
@@ -320,7 +341,12 @@ class VectorEvaluator:
     # ------------------------------------------------------------------
 
     def evaluate(
-        self, bottom_row: int, gaps: Sequence["Gap"]
+        self,
+        bottom_row: int,
+        gaps: Sequence["Gap"],
+        bound: float = -math.inf,
+        incumbent: float = math.inf,
+        margin: float = 0.0,
     ) -> Optional["EvaluatedInsertion"]:
         """Exact evaluation of one candidate on the array backend.
 
@@ -330,28 +356,179 @@ class VectorEvaluator:
         candidate then finishes through :meth:`_finish_fast`, which
         assembles the summed displacement curve directly instead of
         materializing per-cell curve objects.
+
+        Given the ``incumbent`` cost of the best-first walk (with the
+        candidate's heap ``bound`` and the walk's ``margin``), a
+        candidate whose cost provably exceeds the incumbent returns None
+        early — it could not have won, since ``(cost, y, x, ordinal)``
+        ranks it behind the incumbent:
+
+        * before the push, when ``bound`` minus the window's savings
+          cap (:meth:`_savings_cap`) and minus the segment slack of the
+          rough gap bounds still exceeds the incumbent;
+        * after the push, when the target's exact cost over the site
+          range ``[ceil(lo), floor(hi)]`` minus what the pushed cells
+          could save (:meth:`_loses_after_push`) exceeds it.
+
+        Both tests need a margin of :data:`CUTOFF_TOLERANCE`, so ties
+        are always finished.  The defaults disable them: the call is
+        then exhaustive, candidate for candidate equal to
+        :meth:`InsertionContext.evaluate_scalar`.
         """
-        context = self.context
-        sides: Optional[Sides] = None
+        threshold = incumbent + CUTOFF_TOLERANCE
+        if bound > threshold and self._loses_before_push(
+            gaps, bound, threshold, margin
+        ):
+            return None
+        sides = self._push(gaps)
+        if sides is None:
+            return None
+        if threshold < math.inf and self._loses_after_push(
+            bottom_row, sides, threshold
+        ):
+            return None
+        return self._finish_fast(bottom_row, gaps, *sides)
+
+    def _push(self, gaps: Sequence["Gap"]) -> Optional[Sides]:
+        """Both push sides of a candidate, or None when it is infeasible."""
         if not self._multi_row and len(gaps) == 1:
             handled, fast_sides = self._sides(gaps[0])
             if handled:
-                if fast_sides is None:
-                    return None  # Infeasible, where the scalar walk bails.
-                sides = fast_sides
-        if sides is None:
-            right_info = self._push_fast(gaps, +1)
-            if right_info is None:
-                return None
-            left_info = self._push_fast(gaps, -1)
-            if left_info is None:
-                return None
-            right_offsets, right_limit = right_info
-            left_offsets, left_limit = left_info
-            if set(right_offsets) & set(left_offsets):
-                return None  # A cell would be pushed both ways.
-            sides = (right_offsets, right_limit, left_offsets, left_limit)
-        return self._finish_fast(bottom_row, gaps, *sides)
+                return fast_sides  # None where the scalar walk bails.
+        right_info = self._push_fast(gaps, +1)
+        if right_info is None:
+            return None
+        left_info = self._push_fast(gaps, -1)
+        if left_info is None:
+            return None
+        right_offsets, right_limit = right_info
+        left_offsets, left_limit = left_info
+        if set(right_offsets) & set(left_offsets):
+            return None  # A cell would be pushed both ways.
+        return right_offsets, right_limit, left_offsets, left_limit
+
+    # ------------------------------------------------------------------
+    # Dominance cut-off
+    # ------------------------------------------------------------------
+
+    def _loses_before_push(
+        self,
+        gaps: Sequence["Gap"],
+        bound: float,
+        threshold: float,
+        margin: float,
+    ) -> bool:
+        """Whether ``bound`` proves the candidate above ``threshold``.
+
+        The heap bound prices the target over its rough x-range; the
+        exact range can reach further only at a segment end whose
+        outside neighbor's edge rule was charged against the target
+        instead of the pushed end cell (or past a local cell straddling
+        the segment), by at most the segment's recorded slack in sites.
+        The target's cost is thus at least ``bound - w_t * x_unit *
+        slack``, and pushed cells save at most the savings cap.
+        """
+        lower = bound - self._savings_cap(margin)
+        if lower <= threshold:
+            return False
+        slack_of = self._bound_slack
+        if slack_of:
+            slack = max(
+                slack_of.get((gap.row, gap.segment.x_lo), 0.0) for gap in gaps
+            )
+            if slack:
+                lower -= self._wt_x * slack
+        return lower > threshold
+
+    def _savings_cap(self, margin: float) -> float:
+        """Most that pushing local cells can lower a candidate's cost.
+
+        Push sets hold only window-local cells, and a pushed cell saves
+        at most its weighted x-displacement ``w * x_unit * |x - gp_x|``
+        (nothing under ``reference="current"``), so the sum over the
+        window's local cells caps any candidate's savings.  The scan
+        stops once the sum reaches ``margin`` and reports infinity: the
+        best-first walk only evaluates bounds within ``margin`` of the
+        incumbent, where such a cap can never fire.  Computed once per
+        context; a finite cap is the whole sum and an infinite one only
+        disables the test, so either stays valid for any later margin.
+        """
+        if self._cap is None:
+            self._cap = self._scan_savings(margin)
+        return self._cap
+
+    def _scan_savings(self, margin: float) -> float:
+        """The savings cap's sum, or infinity once it reaches ``margin``."""
+        if not self._use_gp:
+            return 0.0
+        context = self.context
+        occupancy = context.occupancy
+        px = occupancy.placement.x
+        py = occupancy.placement.y
+        gp_of = context.design.gp_x
+        weight_of = context.weight_of
+        x_unit = context.x_unit
+        window = context.window
+        cap = 0.0
+        first_row = max(0, math.ceil(window.ylo))
+        last_row = min(context.design.num_rows, math.floor(window.yhi))
+        for row in range(first_row, last_row):
+            for cell in occupancy.cells_in_range(row, window.xlo, window.xhi):
+                # Multi-row cells count once, in their bottom row.
+                if py[cell] != row or not context.is_local(cell):
+                    continue
+                cap += weight_of(cell) * x_unit * abs(px[cell] - gp_of[cell])
+                if cap >= margin:
+                    return math.inf
+        return cap
+
+    def _loses_after_push(
+        self, bottom_row: int, sides: Sides, threshold: float
+    ) -> bool:
+        """Whether the pushed candidate's cost provably exceeds ``threshold``.
+
+        The finish picks a site in ``[ceil(lo), floor(hi)]`` and adds
+        only non-negative guard penalties, so its cost is at least the
+        target's cost at the site nearest ``gp_x`` plus each pushed
+        cell's displacement change.  A right-pushed cell only moves
+        right, so its change is ``>= 0`` unless its GP lies to its right,
+        and then ``>= -w * x_unit * (gp - x)``; left-pushed cells
+        mirror this.
+        """
+        right_offsets, right_limit, left_offsets, left_limit = sides
+        lo_site = math.ceil(left_limit)
+        hi_site = math.floor(right_limit)
+        if lo_site > hi_site:
+            return True  # No site at all; the finish returns None.
+        context = self.context
+        gp_x = context.gp_x
+        if gp_x < lo_site:
+            x_dist = lo_site - gp_x
+        elif gp_x > hi_site:
+            x_dist = gp_x - hi_site
+        else:
+            x_dist = 0.0
+        lower = self._wt * abs(bottom_row - context.gp_y) + self._wt_x * x_dist
+        if lower <= threshold:
+            return False
+        if self._use_gp:
+            px = context.occupancy.placement.x
+            gp_of = context.design.gp_x
+            weight_of = context.weight_of
+            x_unit = context.x_unit
+            for cell in right_offsets:
+                toward = gp_of[cell] - px[cell]
+                if toward > 0:
+                    lower -= weight_of(cell) * x_unit * toward
+                    if lower <= threshold:
+                        return False
+            for cell in left_offsets:
+                toward = px[cell] - gp_of[cell]
+                if toward > 0:
+                    lower -= weight_of(cell) * x_unit * toward
+                    if lower <= threshold:
+                        return False
+        return True
 
     def _push_fast(
         self, gaps: Sequence["Gap"], side: int
@@ -811,6 +988,18 @@ class VectorEvaluator:
                 placement.x[outside_right]
                 - context.edge_gap(-1, outside_right),
             )
+        # The rough bounds charge an outside neighbor's edge rule against
+        # the target; a pushed end cell of another type may get closer,
+        # but never past the segment end.  A local cell straddling the
+        # segment end escapes the rough model altogether; local cells
+        # lie inside the window, so only an end inside it can be one.
+        slack: float = max(left_bound - segment.x_lo, segment.x_hi - right_cap)
+        if (segment.x_lo > window.xlo or segment.x_hi < window.xhi) and (
+            local & ((xs < segment.x_lo) | (xs + widths > segment.x_hi))
+        ).any():
+            slack = math.inf
+        if slack > 0:
+            self._bound_slack[(row, segment.x_lo)] = slack
 
         cells_list: List[int] = cells.tolist()
         local_list: List[bool] = local.tolist()

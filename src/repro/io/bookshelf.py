@@ -25,7 +25,7 @@ with a clear error.  Loading synthesizes one
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from repro.model.design import Design
 from repro.model.netlist import Net, PinRef
@@ -33,6 +33,7 @@ from repro.model.placement import Placement
 from repro.model.technology import CellType, Technology
 
 PathLike = Union[str, Path]
+_N = TypeVar("_N", int, float)
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +128,8 @@ def load_bookshelf(aux_path: PathLike) -> Tuple[Design, Placement]:
 
     Raises:
         ValueError: on unsupported/malformed content (non-uniform rows,
-            fractional footprints, unknown node references).
+            fractional footprints, non-numeric fields, nodes without a
+            ``.pl`` position); parse errors name ``path:line``.
     """
     aux_path = Path(aux_path)
     tokens = aux_path.read_text().split(":", 1)
@@ -141,6 +143,12 @@ def load_bookshelf(aux_path: PathLike) -> Tuple[Design, Placement]:
     rows, row_height, site_width, num_sites = _parse_scl(files[".scl"])
     nodes = _parse_nodes(files[".nodes"])
     positions = _parse_pl(files[".pl"])
+    unplaced = [name for name in nodes if name not in positions]
+    if unplaced:
+        raise ValueError(
+            f"{files['.pl']}: no position for {len(unplaced)} node(s), "
+            f"first {unplaced[0]!r}"
+        )
 
     technology = Technology()
     types: Dict[Tuple[int, int], CellType] = {}
@@ -164,7 +172,7 @@ def load_bookshelf(aux_path: PathLike) -> Tuple[Design, Placement]:
             types[key] = technology.add_cell_type(
                 CellType(f"W{width}H{height}", width, height)
             )
-        x_len, y_len, fixed_flag = positions.get(name, (0.0, 0.0, False))
+        x_len, y_len, fixed_flag = positions[name]
         gp_x = x_len / site_width
         gp_y = y_len / row_height
         index = design.add_cell(
@@ -196,26 +204,38 @@ def _as_multiple(value: float, unit: float, what: str) -> int:
     return int(rounded)
 
 
-def _data_lines(path: Path) -> List[str]:
-    lines: List[str] = []
-    for raw in path.read_text().splitlines():
+def _data_lines(path: Path) -> List[Tuple[int, str]]:
+    """``(line number, stripped line)`` of every data line."""
+    lines: List[Tuple[int, str]] = []
+    for number, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line and not line.startswith("UCLA"):
-            lines.append(line)
+            lines.append((number, line))
     return lines
+
+
+def _number(convert: Callable[[str], _N], text: str, path: Path,
+            number: int, line: str) -> _N:
+    """``convert(text)``, or a ValueError naming ``path:number``."""
+    try:
+        return convert(text.strip())
+    except ValueError:
+        raise ValueError(
+            f"{path}:{number}: malformed number {text.strip()!r} in {line!r}"
+        ) from None
 
 
 def _parse_nodes(path: Path) -> Dict[str, Tuple[float, float, bool]]:
     nodes: Dict[str, Tuple[float, float, bool]] = {}
-    for line in _data_lines(path):
+    for number, line in _data_lines(path):
         if line.startswith(("NumNodes", "NumTerminals")):
             continue
         tokens = line.split()
         if len(tokens) < 3:
-            raise ValueError(f"{path}: malformed node line {line!r}")
+            raise ValueError(f"{path}:{number}: malformed node line {line!r}")
         nodes[tokens[0]] = (
-            float(tokens[1]),
-            float(tokens[2]),
+            _number(float, tokens[1], path, number, line),
+            _number(float, tokens[2], path, number, line),
             "terminal" in tokens[3:],
         )
     return nodes
@@ -223,12 +243,16 @@ def _parse_nodes(path: Path) -> Dict[str, Tuple[float, float, bool]]:
 
 def _parse_pl(path: Path) -> Dict[str, Tuple[float, float, bool]]:
     positions: Dict[str, Tuple[float, float, bool]] = {}
-    for line in _data_lines(path):
+    for number, line in _data_lines(path):
         tokens = line.split()
         if len(tokens) < 3:
             continue
         fixed = "/FIXED" in tokens
-        positions[tokens[0]] = (float(tokens[1]), float(tokens[2]), fixed)
+        positions[tokens[0]] = (
+            _number(float, tokens[1], path, number, line),
+            _number(float, tokens[2], path, number, line),
+            fixed,
+        )
     return positions
 
 
@@ -238,15 +262,21 @@ def _parse_scl(path: Path) -> Tuple[int, float, float, int]:
     site_widths: List[float] = []
     num_sites: List[int] = []
     count = 0
-    for line in _data_lines(path):
+    for number, line in _data_lines(path):
         if line.startswith("CoreRow"):
             count += 1
         elif line.startswith("Height"):
-            heights.append(float(line.split(":")[1]))
+            heights.append(
+                _number(float, line.split(":")[-1], path, number, line)
+            )
         elif line.startswith("Sitewidth"):
-            site_widths.append(float(line.split(":")[1]))
+            site_widths.append(
+                _number(float, line.split(":")[-1], path, number, line)
+            )
         elif line.startswith("SubrowOrigin"):
-            num_sites.append(int(line.split(":")[-1]))
+            num_sites.append(
+                _number(int, line.split(":")[-1], path, number, line)
+            )
     if not count or not heights or not site_widths or not num_sites:
         raise ValueError(f"{path}: no usable CoreRow records")
     if len(set(heights)) > 1 or len(set(site_widths)) > 1 or len(set(num_sites)) > 1:
@@ -258,7 +288,7 @@ def _parse_nets(path: Path) -> List[Tuple[str, List[str]]]:
     nets: List[Tuple[str, List[str]]] = []
     current: Optional[Tuple[str, List[str]]] = None
     index = 0
-    for line in _data_lines(path):
+    for _, line in _data_lines(path):
         if line.startswith(("NumNets", "NumPins")):
             continue
         if line.startswith("NetDegree"):

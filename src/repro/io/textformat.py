@@ -24,7 +24,7 @@ Format sketch (``#`` starts a comment; sections are keyword-introduced)::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Callable, Dict, List, TypeVar, Union
 
 from repro.model.design import Design
 from repro.model.fence import FenceRegion
@@ -35,6 +35,18 @@ from repro.model.rails import IOPin, Rail
 from repro.model.technology import CellType, PinShape, Technology
 
 PathLike = Union[str, Path]
+
+#: Record keywords that modify the design, so must follow its line.
+_NEEDS_DESIGN = frozenset({"blockage", "rail", "iopin", "cell", "net"})
+
+_N = TypeVar("_N", int, float)
+
+
+def _fields(
+    convert: Callable[[str], _N], tokens: List[str], start: int, count: int
+) -> List[_N]:
+    """``count`` tokens from ``start`` converted; IndexError when short."""
+    return [convert(tokens[index]) for index in range(start, start + count)]
 
 
 def design_to_text(design: Design) -> str:
@@ -107,7 +119,9 @@ def load_design(path: PathLike) -> Design:
     """Parse a design written by :func:`save_design`.
 
     Raises:
-        ValueError: on malformed lines or unknown keywords.
+        ValueError: naming ``path:line`` on a malformed line, an unknown
+            keyword or a record before the ``design`` line; naming
+            ``path`` when the finished design fails validation.
     """
     design: Design = None  # type: ignore[assignment]
     technology = Technology()
@@ -136,6 +150,8 @@ def load_design(path: PathLike) -> Design:
         tokens = line.split()
         keyword = tokens[0]
         try:
+            if design is None and keyword in _NEEDS_DESIGN:
+                raise ValueError(f"{keyword!r} record before the 'design' line")
             if keyword == "design":
                 design = Design(
                     technology,
@@ -158,7 +174,7 @@ def load_design(path: PathLike) -> Design:
                     PinShape(
                         name=tokens[2],
                         layer=int(tokens[3]),
-                        rect=Rect(*(float(t) for t in tokens[4:8])),
+                        rect=Rect(*_fields(float, tokens, 4, 4)),
                     )
                 )
             elif keyword == "edgerule":
@@ -171,10 +187,10 @@ def load_design(path: PathLike) -> Design:
                 fences[fence.fence_id] = fence
             elif keyword == "fencerect":
                 fences[int(tokens[1])].add_rect(
-                    Rect(*(int(t) for t in tokens[2:6]))
+                    Rect(*_fields(int, tokens, 2, 4))
                 )
             elif keyword == "blockage":
-                design.add_blockage(Rect(*(int(t) for t in tokens[1:5])))
+                design.add_blockage(Rect(*_fields(int, tokens, 1, 4)))
             elif keyword == "rail":
                 design.rails.add_rail(
                     Rail(
@@ -192,7 +208,7 @@ def load_design(path: PathLike) -> Design:
                     IOPin(
                         tokens[1],
                         int(tokens[2]),
-                        Rect(*(float(t) for t in tokens[3:7])),
+                        Rect(*_fields(float, tokens, 3, 4)),
                     )
                 )
             elif keyword == "cell":
@@ -211,18 +227,23 @@ def load_design(path: PathLike) -> Design:
                 )
             else:
                 raise ValueError(f"unknown keyword {keyword!r}")
-        except (IndexError, KeyError) as exc:
-            raise ValueError(f"{path}:{line_number}: malformed line: {raw!r}") from exc
-    finalize_types()
-    if design is None:
-        raise ValueError(f"{path}: no 'design' line found")
-    # Fences are registered only now, once all their rects are parsed:
-    # add_fence rebuilds the design's row segments, so a fence must be
-    # geometrically complete when it goes in.
-    for fence in fences.values():
-        design.add_fence(fence)
-    # Re-register any cell types defined after the design line.
-    design.validate()
+        except (IndexError, KeyError, ValueError) as exc:
+            raise ValueError(
+                f"{path}:{line_number}: malformed line: {raw!r} ({exc})"
+            ) from exc
+    try:
+        # Re-register any cell types defined after the design line.
+        finalize_types()
+        if design is None:
+            raise ValueError("no 'design' line found")
+        # Fences are registered only now, once all their rects are
+        # parsed: add_fence rebuilds the design's row segments, so a
+        # fence must be geometrically complete when it goes in.
+        for fence in fences.values():
+            design.add_fence(fence)
+        design.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return design
 
 
@@ -235,14 +256,29 @@ def save_placement(placement: Placement, path: PathLike) -> None:
 
 
 def load_placement(design: Design, path: PathLike) -> Placement:
-    """Read a placement written by :func:`save_placement`."""
+    """Read a placement written by :func:`save_placement`.
+
+    Raises:
+        ValueError: naming ``path:line`` on a malformed line or a cell
+            index outside the design.
+    """
     placement = Placement(design)
     for line_number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] != "place" or len(tokens) != 4:
-            raise ValueError(f"{path}:{line_number}: malformed line: {raw!r}")
-        placement.move(int(tokens[1]), int(tokens[2]), int(tokens[3]))
+        try:
+            if tokens[0] != "place" or len(tokens) != 4:
+                raise ValueError("expected 'place <cell> <x> <y>'")
+            cell, x, y = (int(token) for token in tokens[1:])
+            if not 0 <= cell < design.num_cells:
+                raise ValueError(
+                    f"cell index {cell} outside 0..{design.num_cells - 1}"
+                )
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{line_number}: malformed line: {raw!r} ({exc})"
+            ) from exc
+        placement.move(cell, x, y)
     return placement

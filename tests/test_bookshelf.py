@@ -1,10 +1,17 @@
 """Round-trip and parsing tests for the Bookshelf format."""
 
+import re
+
 import pytest
 
 from repro.benchgen import SyntheticSpec, generate_design
 from repro.io.bookshelf import load_bookshelf, save_bookshelf
 from repro.model.placement import Placement
+
+
+def _at(path, pattern: str) -> str:
+    """A ``match`` regex: the literal ``path``, then ``pattern``."""
+    return re.escape(str(path)) + pattern
 
 
 @pytest.fixture
@@ -93,6 +100,58 @@ class TestParsingErrors:
         )
         nodes.write_text(content)
         with pytest.raises(ValueError, match="multiple"):
+            load_bookshelf(aux)
+
+    @pytest.mark.parametrize("suffix, field, junk", [
+        (".nodes", 1, "wide"),
+        (".nodes", 2, "tall"),
+        (".pl", 1, "left"),
+        (".pl", 2, "low"),
+    ])
+    def test_non_numeric_field_names_the_line(
+        self, design, tmp_path, suffix, field, junk
+    ):
+        aux = save_bookshelf(design, tmp_path)
+        path = tmp_path / f"bs{suffix}"
+        lines = path.read_text().splitlines()
+        number = next(
+            index for index, line in enumerate(lines, 1)
+            if line.split() and line.split()[0] == design.cells[0].name
+        )
+        tokens = lines[number - 1].split()
+        tokens[field] = junk
+        lines[number - 1] = "  " + " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        pattern = _at(path, f":{number}: .*{junk!r}")
+        with pytest.raises(ValueError, match=pattern):
+            load_bookshelf(aux)
+
+    @pytest.mark.parametrize("record", ["Height", "Sitewidth", "SubrowOrigin"])
+    def test_non_numeric_row_field_names_the_line(
+        self, design, tmp_path, record
+    ):
+        aux = save_bookshelf(design, tmp_path)
+        scl = tmp_path / "bs.scl"
+        lines = scl.read_text().splitlines()
+        number = next(
+            index for index, line in enumerate(lines, 1)
+            if line.strip().startswith(record)
+        )
+        lines[number - 1] = lines[number - 1].rsplit(":", 1)[0] + ": junk"
+        scl.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=_at(scl, f":{number}: .*'junk'")):
+            load_bookshelf(aux)
+
+    def test_node_missing_from_pl_rejected(self, design, tmp_path):
+        aux = save_bookshelf(design, tmp_path)
+        pl = tmp_path / "bs.pl"
+        name = design.cells[3].name
+        pl.write_text("\n".join(
+            line for line in pl.read_text().splitlines()
+            if not (line.split() and line.split()[0] == name)
+        ) + "\n")
+        pattern = _at(pl, f": no position .*{name!r}")
+        with pytest.raises(ValueError, match=pattern):
             load_bookshelf(aux)
 
     def test_non_uniform_rows_rejected(self, design, tmp_path):

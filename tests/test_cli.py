@@ -94,3 +94,76 @@ class TestCompare:
         out = capsys.readouterr().out
         for tag in ("tetris", "mll", "abacus", "lcp", "ours"):
             assert tag in out
+
+
+HEADER = "design d rows 2 sites 20 site_width 0.2 row_height 2.0 parity 0\n"
+CELLTYPE = "celltype A width 4 height 1 left_edge 0 right_edge 0\n"
+
+
+def _assert_reported(capsys, code, expected_code, *fragments):
+    """Exit code plus message, printed as a log line, not a traceback."""
+    captured = capsys.readouterr()
+    assert code == expected_code
+    for fragment in fragments:
+        assert fragment in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", [
+        ["legalize", "{design}", "-o", "{out}"],
+        ["check", "{design}", "{placement}"],
+        ["compare", "{design}"],
+        ["svg", "{design}", "{placement}", "-o", "{out}"],
+        ["export-bookshelf", "{design}", "-o", "{out}"],
+    ])
+    def test_malformed_design_exits_2(self, tmp_path, capsys, command):
+        design = tmp_path / "bad.txt"
+        design.write_text(HEADER + CELLTYPE + "cell c0 A abc 0.0 0 0\n")
+        placement = tmp_path / "p.txt"
+        placement.write_text("place 0 0 0\n")
+        argv = [
+            arg.format(design=design, placement=placement,
+                       out=tmp_path / "out")
+            for arg in command
+        ]
+        _assert_reported(capsys, main(argv), 2, f"{design}:3:", "'abc'")
+
+    def test_record_before_design_line_exits_2(self, tmp_path, capsys):
+        design = tmp_path / "early.txt"
+        design.write_text("blockage 0 0 2 1\n" + HEADER)
+        code = main(["legalize", str(design), "-o", str(tmp_path / "p.txt")])
+        _assert_reported(capsys, code, 2, f"{design}:1:")
+
+    def test_malformed_placement_exits_2(self, design_file, tmp_path, capsys):
+        placement = tmp_path / "p.txt"
+        placement.write_text("place 0 0 0\nplace x 1 0\n")
+        code = main(["check", str(design_file), str(placement)])
+        _assert_reported(capsys, code, 2, f"{placement}:2:", "'x'")
+
+    def test_malformed_bookshelf_exits_2(self, design_file, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert main(["export-bookshelf", str(design_file),
+                     "-o", str(bundle)]) == 0
+        pl = bundle / "clidesign.pl"
+        lines = pl.read_text().splitlines()
+        tokens = lines[1].split()
+        tokens[1] = "left"
+        lines[1] = " ".join(tokens)
+        pl.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["import-bookshelf", str(bundle / "clidesign.aux"),
+                     "-o", str(tmp_path / "d.txt")])
+        _assert_reported(capsys, code, 2, f"{pl}:2:", "'left'")
+
+    def test_over_full_fence_exits_1(self, tmp_path, capsys):
+        design = tmp_path / "full.txt"
+        design.write_text(
+            HEADER + CELLTYPE
+            + "fence 1 f1\nfencerect 1 0 0 4 1\n"
+            + "".join(f"cell c{index} A 0.0 0.0 1 0\n" for index in range(3))
+        )
+        placement = tmp_path / "p.txt"
+        code = main(["legalize", str(design), "-o", str(placement)])
+        _assert_reported(capsys, code, 1, str(design), "over-full")
+        assert not placement.exists()

@@ -1,10 +1,25 @@
-"""Round-trip tests for the text serialization."""
+"""Round-trip and malformed-input tests for the text serialization."""
+
+import functools
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.benchgen import SyntheticSpec, generate_design
 from repro.io import load_design, load_placement, save_design, save_placement
+from repro.io.textformat import design_to_text
+from repro.model.geometry import Rect
 from repro.model.placement import Placement
+
+HEADER = "design d rows 2 sites 10 site_width 0.2 row_height 2.0 parity 0\n"
+
+
+def _at(path, pattern: str) -> str:
+    """A ``match`` regex: the literal ``path``, then ``pattern``."""
+    return re.escape(str(path)) + pattern
 
 
 @pytest.fixture
@@ -82,6 +97,30 @@ class TestDesignRoundTrip:
         with pytest.raises(ValueError, match="no 'design' line"):
             load_design(path)
 
+    def test_non_numeric_field_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            HEADER + "celltype A width abc height 1 left_edge 0 right_edge 0\n"
+        )
+        with pytest.raises(ValueError, match=_at(path, ":2: .*'abc'")):
+            load_design(path)
+
+    def test_record_before_design_line_names_the_line(self, tmp_path):
+        path = tmp_path / "early.txt"
+        path.write_text("blockage 0 0 2 1\n" + HEADER)
+        with pytest.raises(ValueError, match=_at(path, ":1: .*before the")):
+            load_design(path)
+
+    def test_invalid_design_names_the_file(self, tmp_path):
+        path = tmp_path / "fenceless.txt"
+        path.write_text(
+            HEADER
+            + "celltype A width 2 height 1 left_edge 0 right_edge 0\n"
+            + "cell c0 A 1.0 0.0 7 0\n"
+        )
+        with pytest.raises(ValueError, match=_at(path, ": .*unknown fence 7")):
+            load_design(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text(
@@ -104,5 +143,69 @@ class TestPlacementRoundTrip:
     def test_malformed_placement(self, rich_design, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("place 0 1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_at(path, ":1: ")):
             load_placement(rich_design, path)
+
+    def test_non_numeric_placement_field_names_the_line(
+        self, rich_design, tmp_path
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\nplace x 1 0\n")
+        with pytest.raises(ValueError, match=_at(path, ":2: .*'x'")):
+            load_placement(rich_design, path)
+
+    @pytest.mark.parametrize("index", [-1, 10_000])
+    def test_cell_index_out_of_range_names_the_line(
+        self, rich_design, tmp_path, index
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"place 0 1 0\nplace {index} 1 0\n")
+        with pytest.raises(ValueError, match=_at(path, ":2: .*outside")):
+            load_placement(rich_design, path)
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_design_lines() -> "tuple[tuple[str, ...], ...]":
+    """Token lists of a small saved design with every record kind."""
+    design = generate_design(
+        SyntheticSpec(
+            name="fuzz",
+            cells_by_height={1: 12, 2: 2},
+            density=0.4,
+            seed=3,
+            num_fences=1,
+            with_rails=True,
+            num_io_pins=2,
+            with_edge_rules=True,
+            nets_per_cell=0.5,
+        )
+    )
+    design.add_blockage(Rect(0, 0, 1, 1))
+    return tuple(
+        tuple(line.split()) for line in design_to_text(design).splitlines()
+    )
+
+
+class TestMalformedDesignProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        junk=st.text(alphabet="bcdxyz", min_size=1, max_size=4),
+    )
+    def test_non_numeric_token_loads_or_names_the_file(self, data, junk):
+        lines = [list(tokens) for tokens in _saved_design_lines()]
+        candidates = [
+            (row, col)
+            for row, tokens in enumerate(lines)
+            for col in range(len(tokens))
+            if not tokens[0].startswith("#")
+        ]
+        row, col = data.draw(st.sampled_from(candidates))
+        lines[row][col] = junk
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "fuzzed.txt"
+            path.write_text("\n".join(" ".join(t) for t in lines) + "\n")
+            try:
+                load_design(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)

@@ -395,6 +395,21 @@ class TestParamsAndCli:
         ):
             with pytest.raises(ValueError, match=knob):
                 LegalizerParams(**{knob: 0}).validate()
+        # Negative penalties or a NaN margin would void the dominance
+        # cut-off's lower bounds and the best-first stop rule.
+        for knob, value in (
+            ("io_penalty", -10.0), ("blocked_penalty", -1.0),
+            ("prune_margin", float("nan")), ("prune_margin", -1.0),
+            ("prune_margin", float("inf")), ("io_penalty", float("nan")),
+            ("guard_max_shift", -3), ("feasible_range_limit", -1),
+        ):
+            with pytest.raises(ValueError, match=knob):
+                LegalizerParams(**{knob: value}).validate()
+        for knob in (
+            "io_penalty", "blocked_penalty", "prune_margin",
+            "guard_max_shift", "feasible_range_limit",
+        ):
+            LegalizerParams(**{knob: 0}).validate()  # zero stays legal
 
     def test_interior_params_strip_nested_parallelism(self):
         params = LegalizerParams(

@@ -18,9 +18,13 @@ candidate.  These tests pin that contract:
   occupancies, with the routability guard live;
 * gap-enumeration equality of :meth:`VectorEvaluator.gaps_in_segment`
   against the scalar ``_gaps_in_segment`` walk;
-* the batch-computed candidate lower bound against its scalar form.
+* the batch-computed candidate lower bound against its scalar form;
+* the dominance cut-off: per candidate, it may only drop a candidate
+  that costs more than the incumbent; on whole runs, both of its tests
+  fire and the placement and evaluation count stay the scalar ones.
 """
 
+import math
 import random
 
 import pytest
@@ -31,13 +35,18 @@ from repro.core.mgl import LegalizationError, MGLegalizer, mgl_cell_order
 from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
 from repro.core.refine import RoutabilityGuard
-from repro.core.soa import SoAState
+from repro.core.soa import SoAState, VectorEvaluator
 from repro.model.design import Design
 from repro.model.fence import FenceRegion
 from repro.model.geometry import Rect
 from repro.model.placement import Placement
 from repro.model.rails import IOPin, standard_pg_grid
-from repro.model.technology import CellType, PinShape, Technology
+from repro.model.technology import (
+    CellType,
+    EdgeSpacingTable,
+    PinShape,
+    Technology,
+)
 
 
 def build_design(
@@ -194,6 +203,18 @@ def _context_pair(
     return scalar, vector
 
 
+def _assert_same(got, expected) -> None:
+    """Vector and scalar results agree bit for bit (or are both None)."""
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.x == expected.x
+    assert got.y == expected.y
+    assert got.cost == expected.cost  # bit-equal, no tolerance
+    assert got.moves == expected.moves
+
+
 def _gap_fields(gap) -> tuple:
     return (
         gap.row, gap.segment.x_lo, gap.segment.x_hi, gap.left_cell,
@@ -229,20 +250,29 @@ class TestPerCandidateEquality:
         assume(state is not None)
         design, occupancy, remaining = state
         assume(remaining)
+        margins = (0.5, LegalizerParams().prune_margin)
         checked = 0
         for target in remaining[:3]:
             scalar, vector = _context_pair(design, occupancy, target)
+            evaluator = vector._vector
             for bottom_row, gaps in vector.enumerate_insertion_points():
                 expected = vector.evaluate_scalar(bottom_row, gaps)
-                got = vector.evaluate(bottom_row, gaps)
-                if expected is None:
-                    assert got is None, (target, bottom_row)
-                else:
-                    assert got is not None, (target, bottom_row)
-                    assert got.x == expected.x
-                    assert got.y == expected.y
-                    assert got.cost == expected.cost  # bit-equal, no tolerance
-                    assert got.moves == expected.moves
+                _assert_same(vector.evaluate(bottom_row, gaps), expected)
+                # With an incumbent, the dominance cut-off may drop only
+                # a candidate that costs more than it.
+                bound = vector.target_cost_lower_bound(bottom_row, gaps)
+                base = bound if expected is None else expected.cost
+                for incumbent in (base, base - 1e-3, base + 1e-3):
+                    for margin in margins:
+                        got = evaluator.evaluate(
+                            bottom_row, gaps, bound, incumbent, margin
+                        )
+                        if got is None and expected is not None:
+                            assert expected.cost > incumbent, (
+                                target, bottom_row, incumbent, margin
+                            )
+                        else:
+                            _assert_same(got, expected)
                 checked += 1
             # The scalar context enumerates the identical candidate set.
             assert [
@@ -281,3 +311,124 @@ def test_finish_refuses_sites_left_of_the_summed_anchor():
     _, vector = _context_pair(design, occupancy, 0)
     with pytest.raises(ValueError, match="left of the summed curve anchor"):
         vector._vector._finish_fast(0, [], {}, 10.0, {}, -5.0)
+
+
+class _CutoffCounter:
+    """Counts calls into the vector backend's evaluation stages.
+
+    ``pre_push_skips`` are evaluations that never reached the push,
+    ``post_push_skips`` pushed candidates with a non-empty site range
+    that never reached the finish: exactly the dominance cut-off's two
+    exits.
+    """
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self.evaluations = 0
+        self.pushes = 0
+        self.pushes_with_sites = 0
+        self.finishes = 0
+        evaluate = VectorEvaluator.evaluate
+        push = VectorEvaluator._push
+        finish = VectorEvaluator._finish_fast
+
+        def counted_evaluate(evaluator, *args, **kwargs):
+            self.evaluations += 1
+            return evaluate(evaluator, *args, **kwargs)
+
+        def counted_push(evaluator, gaps):
+            self.pushes += 1
+            sides = push(evaluator, gaps)
+            if sides is not None and math.ceil(sides[3]) <= math.floor(sides[1]):
+                self.pushes_with_sites += 1
+            return sides
+
+        def counted_finish(evaluator, *args):
+            self.finishes += 1
+            return finish(evaluator, *args)
+
+        monkeypatch.setattr(VectorEvaluator, "evaluate", counted_evaluate)
+        monkeypatch.setattr(VectorEvaluator, "_push", counted_push)
+        monkeypatch.setattr(VectorEvaluator, "_finish_fast", counted_finish)
+
+    @property
+    def pre_push_skips(self) -> int:
+        return self.evaluations - self.pushes
+
+    @property
+    def post_push_skips(self) -> int:
+        return self.pushes_with_sites - self.finishes
+
+
+class TestDominanceCutoff:
+    @pytest.mark.parametrize("seed, density", [(11, 0.2), (11, 0.5)])
+    def test_both_cutoffs_fire_and_keep_the_placement(self, seed, density):
+        design = build_design(seed, density, with_fence=True,
+                              with_blockage=True)
+        scalar_pos, scalar_stats = run_once(design, "scalar", True)
+        with pytest.MonkeyPatch.context() as patch:
+            counter = _CutoffCounter(patch)
+            vector_pos, vector_stats = run_once(design, "vector", True)
+        assert vector_pos == scalar_pos
+        assert (
+            vector_stats["insertions_evaluated"]
+            == scalar_stats["insertions_evaluated"]
+            == counter.evaluations
+        )
+        assert counter.pre_push_skips > 0
+        assert counter.post_push_skips > 0
+
+    def test_post_push_bound_counts_savings_toward_gp(self):
+        """A cell displaced left of its GP gains from being pushed right:
+        the candidate costs less than the target alone, and the cut-off
+        must still finish it at a tied incumbent."""
+        cell_type = CellType("S", 2, 1)
+        design = Design(Technology(cell_types=[cell_type]), num_rows=1,
+                        num_sites=40)
+        pushed = design.add_cell("p", cell_type, 14, 0)
+        target = design.add_cell("t", cell_type, 10, 0)
+        placement = Placement(design)
+        occupancy = Occupancy(design, placement)
+        placement.move(pushed, 10, 0)
+        occupancy.add(pushed)
+        _, vector = _context_pair(design, occupancy, target)
+        (gap,) = [g for g in vector.gaps_in_row(0) if g.right_cell == pushed]
+        expected = vector.evaluate_scalar(0, (gap,))
+        assert expected is not None and expected.moves
+        assert expected.cost < -1e-3  # below the target-only bound of 0
+        got = vector._vector.evaluate(
+            0, (gap,), vector.target_cost_lower_bound(0, (gap,)),
+            expected.cost, LegalizerParams().prune_margin,
+        )
+        _assert_same(got, expected)
+
+    def test_pre_push_bound_allows_for_outside_edge_rules(self):
+        """The rough gap bounds charge the edge rule of the cell beyond a
+        segment end against the target; the cell the target pushes there
+        may have no rule and get closer.  Here the heap bound overstates
+        the candidate's exact cost, and the cut-off must still finish it
+        at a tied incumbent."""
+        ruled = CellType("R", 2, 1, left_edge=1, right_edge=1)
+        plain = CellType("P", 2, 1)
+        tech = Technology(cell_types=[ruled, plain],
+                          edge_spacing=EdgeSpacingTable([(1, 1, 2)]))
+        design = Design(tech, num_rows=2, num_sites=40)
+        design.add_fence(FenceRegion(fence_id=1, name="f1",
+                                     rects=[Rect(10, 0, 40, 2)]))
+        outside = design.add_cell("o", ruled, 8, 0)
+        pushed = design.add_cell("p", plain, 10, 0, fence_id=1)
+        target = design.add_cell("t", ruled, 10, 0, fence_id=1)
+        placement = Placement(design)
+        occupancy = Occupancy(design, placement)
+        for cell in (outside, pushed):
+            placement.move(cell, int(design.gp_x[cell]), 0)
+            occupancy.add(cell)
+        _, vector = _context_pair(design, occupancy, target)
+        (gap,) = [g for g in vector.gaps_in_row(0) if g.left_cell == pushed]
+        expected = vector.evaluate_scalar(0, (gap,))
+        bound = vector.target_cost_lower_bound(0, (gap,))
+        assert expected is not None and expected.x == 12
+        assert bound > expected.cost + 1e-3  # 4 sites charged, 2 needed
+        got = vector._vector.evaluate(
+            0, (gap,), bound, expected.cost, LegalizerParams().prune_margin
+        )
+        _assert_same(got, expected)
