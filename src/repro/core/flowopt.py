@@ -394,8 +394,10 @@ def optimize_fixed_row_order(
 
     Returns:
         Before/after statistics; the solution is only applied when it
-        does not worsen the exact objective (it cannot, barring solver
-        failure, in which case the placement is left untouched).
+        is feasible and does not worsen the exact objective (it cannot,
+        barring solver failure).  A declined solution leaves the
+        placement untouched and every "after" field equal to its
+        "before" field.
     """
     params = params or LegalizerParams()
     design = placement.design
@@ -424,11 +426,16 @@ def optimize_fixed_row_order(
     else:
         raise ValueError(f"unknown stage-3 backend {backend!r}")
 
-    if problem.check_feasible(solution):
-        return stats  # Defensive: never apply an infeasible solution.
-    stats.objective_after = problem.objective(solution, n0)
-    if stats.objective_after > stats.objective_before:
+    # Defensive: never apply an infeasible or worse solution.  Declining
+    # leaves the placement, and so every "after" figure, as it was.
+    declined = bool(problem.check_feasible(solution))
+    if not declined:
+        stats.objective_after = problem.objective(solution, n0)
+        declined = stats.objective_after > stats.objective_before
+    if declined:
         stats.objective_after = stats.objective_before
+        stats.avg_disp_after = stats.avg_disp_before
+        stats.max_disp_after = stats.max_disp_before
         return stats
 
     for k, cell in enumerate(problem.cells):

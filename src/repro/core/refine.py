@@ -17,6 +17,7 @@ is how stage 3 avoids creating new pin violations.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
@@ -24,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.params import LegalizerParams
 from repro.model.design import Design
 from repro.model.geometry import Rect
+from repro.model.rails import Rail
 from repro.model.technology import CellType
 
 #: A (cell pin, IO pin) pair that can overlap on one row, as
@@ -51,8 +53,9 @@ class _GuardCaches(threading.local):
         self.row_ok: Dict[Tuple[str, int], bool] = {}
         self.x_blocked: Dict[Tuple[str, bool, int], bool] = {}
         self.io_pairs: Dict[Tuple[str, int], List[IOPair]] = {}
-        # Walk plans of adjust_x_planned: x_blocked over every site per
-        # (type, flip), and per (type, row) that list with the io_pairs.
+        # Walk plans of adjust_x_planned and feasible_range: x_blocked
+        # over every site per (type, flip), and per (type, row) that list
+        # with the io_pairs.
         self.blocked_sites: Dict[Tuple[str, bool], List[bool]] = {}
         self.plans: Dict[Tuple[str, int], WalkPlan] = {}
 
@@ -87,14 +90,14 @@ class RoutabilityGuard:
             return False
         return row % 2 != self.design.power_parity
 
-    def pin_rects_at(
-        self, cell_type: CellType, row: int, x: float
+    def _local_pin_rects(
+        self, cell_type: CellType, row: int
     ) -> List[Tuple[int, Rect]]:
-        """(layer, rect) of each signal pin for a placement at ``(x, row)``."""
-        design = self.design
-        x_len = x * design.site_width
-        y_len = row * design.row_height
-        height_len = cell_type.height * design.row_height
+        """(layer, rect) of each signal pin in cell coordinates at ``row``.
+
+        The rects are mirrored vertically when the cell is flipped there.
+        """
+        height_len = cell_type.height * self.design.row_height
         flipped = self._is_flipped(cell_type, row)
         rects: List[Tuple[int, Rect]] = []
         for pin in cell_type.pins:
@@ -103,8 +106,19 @@ class RoutabilityGuard:
                 rect = Rect(
                     rect.xlo, height_len - rect.yhi, rect.xhi, height_len - rect.ylo
                 )
-            rects.append((pin.layer, rect.translated(x_len, y_len)))
+            rects.append((pin.layer, rect))
         return rects
+
+    def pin_rects_at(
+        self, cell_type: CellType, row: int, x: float
+    ) -> List[Tuple[int, Rect]]:
+        """(layer, rect) of each signal pin for a placement at ``(x, row)``."""
+        x_len = x * self.design.site_width
+        y_len = row * self.design.row_height
+        return [
+            (layer, rect.translated(x_len, y_len))
+            for layer, rect in self._local_pin_rects(cell_type, row)
+        ]
 
     # ------------------------------------------------------------------
     # Horizontal rails: row validity
@@ -181,21 +195,13 @@ class RoutabilityGuard:
         cached = self._caches.io_pairs.get(key)
         if cached is not None:
             return cached
-        design = self.design
-        y_len = row * design.row_height
-        height_len = cell_type.height * design.row_height
-        flipped = self._is_flipped(cell_type, row)
+        y_len = row * self.design.row_height
         pairs: List[IOPair] = []
-        for pin in cell_type.pins:
-            rect = pin.rect
-            if flipped:
-                rect = Rect(
-                    rect.xlo, height_len - rect.yhi, rect.xhi, height_len - rect.ylo
-                )
+        for layer, rect in self._local_pin_rects(cell_type, row):
             ylo = rect.ylo + y_len
             yhi = rect.yhi + y_len
-            for io_pin in design.rails.io_pins:
-                if io_pin.layer not in (pin.layer, pin.layer + 1):
+            for io_pin in self.design.rails.io_pins:
+                if io_pin.layer not in (layer, layer + 1):
                     continue
                 if not (io_pin.rect.ylo < yhi and ylo < io_pin.rect.yhi):
                     continue
@@ -210,16 +216,16 @@ class RoutabilityGuard:
         pairs = self._io_pairs(cell_type, row)
         if not pairs:
             return 0.0
-        return self._pairs_penalty(pairs, x)
+        return self._io_overlaps(pairs, x) * self.params.io_penalty
 
-    def _pairs_penalty(self, pairs: List[IOPair], x: int) -> float:
-        """:meth:`io_penalty_at` over a non-empty :meth:`_io_pairs` list."""
+    def _io_overlaps(self, pairs: List[IOPair], x: int) -> int:
+        """How many of ``pairs`` overlap for a placement at site ``x``."""
         x_len = x * self.design.site_width
         count = 0
         for pin_xlo, pin_xhi, io_xlo, io_xhi in pairs:
             if io_xlo < pin_xhi + x_len and pin_xlo + x_len < io_xhi:
                 count += 1
-        return count * self.params.io_penalty
+        return count
 
     def adjust_x(
         self,
@@ -267,10 +273,11 @@ class RoutabilityGuard:
     def _walk_plan(self, cell_type: CellType, row: int) -> Optional[WalkPlan]:
         """The lazily built :data:`WalkPlan` of ``cell_type`` at ``row``.
 
-        The blocked list is shared by every row of one flip state, which
+        The blocked list (:meth:`_blocked_sites`) is built once per
+        (type, flip) and shared by every row of that flip state, which
         is exact only when ``x_blocked`` ignores the row: for pinless
         types, or when every vertical stripe spans the chip height.
-        Otherwise None is returned.
+        Otherwise None is returned.  The IO pairs are per (type, row).
         """
         if cell_type.pins and not self._x_cacheable:
             return None
@@ -281,14 +288,47 @@ class RoutabilityGuard:
             flip = (cell_type.name, self._is_flipped(cell_type, row))
             blocked = caches.blocked_sites.get(flip)
             if blocked is None:
-                blocked = [
-                    self.x_blocked(cell_type, row, x)
-                    for x in range(self.design.num_sites + 1)
-                ]
+                blocked = self._blocked_sites(cell_type, row)
                 caches.blocked_sites[flip] = blocked
             plan = (blocked, self._io_pairs(cell_type, row))
             caches.plans[key] = plan
         return plan
+
+    def _blocked_sites(self, cell_type: CellType, row: int) -> List[bool]:
+        """``x_blocked(cell_type, row, x)`` for every site ``0..num_sites``.
+
+        One pass instead of one ``x_blocked`` call per site: each pin's
+        (flipped) rect, the vertical rails on its layer or the layer
+        above, and the row-only half of ``Rail.overlaps_rect``
+        (``Rail.overlaps_extent`` on the pin's y span) are resolved
+        once.  Per site only the other half,
+        ``rail.overlaps_interval(xlo + x_len, xhi + x_len)``, remains:
+        the same calls on the same floats ``x_blocked`` reaches through
+        ``Rect.translated``, so every entry equals ``x_blocked``.
+        """
+        design = self.design
+        blocked = [False] * (design.num_sites + 1)
+        if not cell_type.pins:
+            return blocked
+        y_len = row * design.row_height
+        vertical = [rail for rail in design.rails.rails if rail.orientation == "v"]
+        checks: List[Tuple[float, float, Rail]] = []
+        for layer, rect in self._local_pin_rects(cell_type, row):
+            ylo = rect.ylo + y_len
+            yhi = rect.yhi + y_len
+            for rail in vertical:
+                if rail.layer in (layer, layer + 1) and rail.overlaps_extent(ylo, yhi):
+                    checks.append((rect.xlo, rect.xhi, rail))
+        if not checks:
+            return blocked
+        site_width = design.site_width
+        for x in range(len(blocked)):
+            x_len = x * site_width
+            for xlo, xhi, rail in checks:
+                if rail.overlaps_interval(xlo + x_len, xhi + x_len):
+                    blocked[x] = True
+                    break
+        return blocked
 
     def adjust_x_planned(
         self,
@@ -312,6 +352,7 @@ class RoutabilityGuard:
         if plan is None or lo < 0 or hi >= len(plan[0]):
             return self.adjust_x(cell_type, row, x_opt, lo, hi, cost_at)
         blocked, pairs = plan
+        io_penalty = self.params.io_penalty
         best_x: Optional[int] = None
         best_total = math.inf
         best_cost = 0.0
@@ -320,7 +361,9 @@ class RoutabilityGuard:
             if x < lo or x > hi or blocked[x]:
                 continue
             cost = cost_at(x)
-            total = cost + self._pairs_penalty(pairs, x) if pairs else cost
+            total = (
+                cost + self._io_overlaps(pairs, x) * io_penalty if pairs else cost
+            )
             if total < best_total - 1e-12:
                 best_total = total
                 best_x = x
@@ -348,28 +391,58 @@ class RoutabilityGuard:
 
         ``segment_lo``/``segment_hi`` bound the cell's span inside its row
         segment (``segment_hi`` already excludes the cell width).  The
-        interval is grown site by site from the current position until a
-        vertical-rail conflict (or the segment bound) is hit, so every
-        position inside it is conflict-free — the restriction §3.4 imposes
-        on the stage-3 MCF.
+        interval is grown site by site from the current position, at most
+        ``feasible_range_limit`` sites per side, until a vertical-rail
+        conflict, an IO-pin overlap or the segment bound is hit, so every
+        position inside it is conflict-free — the restriction §3.4
+        imposes on the stage-3 MCF.  A cell already in conflict at ``x``
+        is pinned there.
+
+        Each probe reads the cached walk plan: a ``blocked`` list read,
+        plus an IO overlap count on rows with IO pairs.  Without a plan,
+        or when a walked site leaves ``0..num_sites``, the probes are
+        ``x_blocked`` and :meth:`_io_overlaps` themselves, with the same
+        answers.
         """
         if not self.params.routability or not cell_type.pins:
             return segment_lo, segment_hi
-        def conflicted(candidate: int) -> bool:
-            # §3.4: the range is bounded by the P/G rails *or IO pins*.
-            return self.x_blocked(cell_type, row, candidate) or (
-                self.io_penalty_at(cell_type, row, candidate) > 0
-            )
-
-        if conflicted(x):
-            # Already conflicting: do not let stage 3 make it worse; pin
-            # the cell to its current position.
-            return x, x
         limit = self.params.feasible_range_limit
-        left = x
-        while left > max(segment_lo, x - limit) and not conflicted(left - 1):
-            left -= 1
-        right = x
-        while right < min(segment_hi, x + limit) and not conflicted(right + 1):
-            right += 1
-        return left, right
+        floor = max(segment_lo, x - limit)
+        ceil = min(segment_hi, x + limit)
+        blocked_at: Callable[[int], bool]
+        plan = self._walk_plan(cell_type, row)
+        if plan is None or min(x, floor) < 0 or max(x, ceil) >= len(plan[0]):
+            pairs = self._io_pairs(cell_type, row)
+            blocked_at = functools.partial(self.x_blocked, cell_type, row)
+        else:
+            blocked, pairs = plan
+            blocked_at = blocked.__getitem__
+        if not pairs:
+            return _grow_clean(x, floor, ceil, blocked_at)
+        # §3.4: the range is bounded by the P/G rails *or IO pins*; an IO
+        # overlap bounds it whatever io_penalty is, 0 included.
+        overlaps = self._io_overlaps
+        return _grow_clean(
+            x, floor, ceil, lambda c: blocked_at(c) or overlaps(pairs, c) > 0
+        )
+
+
+def _grow_clean(
+    x: int, floor: int, ceil: int, conflicted: Callable[[int], bool]
+) -> Tuple[int, int]:
+    """Grow ``[x, x]`` one site at a time within ``[floor, ceil]``.
+
+    Each side stops before its first conflicted site; a conflicted ``x``
+    gives ``(x, x)``.
+    """
+    if conflicted(x):
+        # Already conflicting: do not let stage 3 make it worse; pin
+        # the cell to its current position.
+        return x, x
+    left = x
+    while left > floor and not conflicted(left - 1):
+        left -= 1
+    right = x
+    while right < ceil and not conflicted(right + 1):
+        right += 1
+    return left, right

@@ -81,17 +81,25 @@ class Rail:
                 return True
         return False
 
+    def overlaps_extent(self, lo: float, hi: float) -> bool:
+        """True when ``[lo, hi)`` is non-empty and meets ``extent``.
+
+        The half of :meth:`overlaps_rect` along the stripe direction (y
+        for vertical families); :meth:`overlaps_interval` is the other.
+        """
+        return lo < hi and self.extent.lo < hi and lo < self.extent.hi
+
     def overlaps_rect(self, rect: Rect) -> bool:
         """True when some stripe of this family intersects ``rect``."""
-        if rect.empty:
-            return False
         if self.orientation == HORIZONTAL:
-            if not self.extent.overlaps(rect.x_interval):
-                return False
-            return self.overlaps_interval(rect.ylo, rect.yhi)
-        if not self.extent.overlaps(rect.y_interval):
-            return False
-        return self.overlaps_interval(rect.xlo, rect.xhi)
+            return (
+                self.overlaps_extent(rect.xlo, rect.xhi)
+                and self.overlaps_interval(rect.ylo, rect.yhi)
+            )
+        return (
+            self.overlaps_extent(rect.ylo, rect.yhi)
+            and self.overlaps_interval(rect.xlo, rect.xhi)
+        )
 
     def stripes_in(self, lo: float, hi: float) -> Iterator[Interval]:
         """Yield stripe intervals on the periodic axis intersecting ``[lo, hi)``."""

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.checker import check_legal
+from repro.core import flowopt
 from repro.core.flowopt import (
     FixedRowOrderProblem,
     build_dual_graph,
@@ -177,6 +178,39 @@ class TestOptimize:
         stats_mcf = optimize_fixed_row_order(a, params, backend="mcf")
         stats_lp = optimize_fixed_row_order(b, params, backend="lp")
         assert stats_mcf.objective_after == stats_lp.objective_after
+
+    @pytest.mark.parametrize("declined", ["infeasible", "worse"])
+    def test_declined_solution_reports_before_values(
+        self, small_design, monkeypatch, declined
+    ):
+        params = LegalizerParams(routability=False, scheduler_capacity=1)
+        placement = MGLegalizer(small_design, params).run()
+        original = list(placement.x)
+
+        def forced(problem, n0):
+            xs = problem.current_x(placement)
+            if declined == "infeasible":
+                xs[0] = problem.upper[0] + 1
+                return xs
+            # One cell one site farther from its GP, still feasible.
+            for k in range(len(xs)):
+                trial = list(xs)
+                trial[k] += 1 if xs[k] >= problem.gp_x[k] else -1
+                if not problem.check_feasible(trial):
+                    assert problem.objective(trial, n0) > problem.objective(xs, n0)
+                    return trial
+            raise AssertionError("no cell can move away from its GP")
+
+        monkeypatch.setattr(flowopt, "solve_mcf", forced)
+        stats = optimize_fixed_row_order(placement, params, backend="mcf")
+        assert list(placement.x) == original
+        assert stats.moved == 0
+        assert stats.objective_before > 0 and stats.max_disp_before > 0
+        assert (
+            stats.objective_after, stats.avg_disp_after, stats.max_disp_after
+        ) == (
+            stats.objective_before, stats.avg_disp_before, stats.max_disp_before
+        )
 
     def test_unknown_backend(self, small_design):
         params = LegalizerParams(routability=False, scheduler_capacity=1)

@@ -48,6 +48,12 @@ class TestRail:
         assert rail.overlaps_rect(Rect(10, 7.9, 11, 8.2))
         assert not rail.overlaps_rect(Rect(60, 7.9, 61, 8.2))  # past extent
 
+    def test_overlaps_rect_empty_rect(self):
+        rail = h_rail()
+        assert not rail.overlaps_extent(10.0, 10.0)
+        assert not rail.overlaps_rect(Rect(10, 8.0, 10, 8.2))  # zero width
+        assert not rail.overlaps_rect(Rect(10, 8.1, 11, 8.1))  # zero height
+
     def test_stripes_in(self):
         rail = h_rail()
         stripes = list(rail.stripes_in(0.0, 20.0))

@@ -119,6 +119,132 @@ class TestIOPenalty:
         assert guard.io_penalty_at(p, 0, 20) == 0.0
 
 
+def reference_feasible_range(guard, cell_type, row, x, segment_lo, segment_hi):
+    """Reference :meth:`RoutabilityGuard.feasible_range`: probe every site.
+
+    The plain site-by-site walk, with each probe asked of ``x_blocked``
+    and of every (pin, IO pin) pair through ``Rect.overlaps``.  An IO
+    overlap bounds the range whatever ``io_penalty`` is.
+    """
+    if not guard.params.routability or not cell_type.pins:
+        return segment_lo, segment_hi
+    io_pins = guard.design.rails.io_pins
+
+    def conflicted(site):
+        if guard.x_blocked(cell_type, row, site):
+            return True
+        return any(
+            io.layer in (layer, layer + 1) and io.rect.overlaps(rect)
+            for layer, rect in guard.pin_rects_at(cell_type, row, site)
+            for io in io_pins
+        )
+
+    if conflicted(x):
+        return x, x
+    limit = guard.params.feasible_range_limit
+    left = x
+    while left > max(segment_lo, x - limit) and not conflicted(left - 1):
+        left -= 1
+    right = x
+    while right < min(segment_hi, x + limit) and not conflicted(right + 1):
+        right += 1
+    return left, right
+
+
+def tenths(lo, hi):
+    """Coordinates on a 0.1 grid, so stripe edges can graze pin edges."""
+    return st.integers(lo, hi).map(lambda k: k / 10)
+
+
+@st.composite
+def grid_rect(draw, x_hi, y_hi, max_width, max_height):
+    """A rect on the 0.1 grid, empty (zero width or height) on some draws."""
+    xlo, ylo = draw(st.integers(0, x_hi)), draw(st.integers(0, y_hi))
+    width = draw(st.sampled_from(range(max_width + 1)))  # 0: empty
+    height = draw(st.sampled_from(range(max_height + 1)))
+    return Rect(xlo / 10, ylo / 10, (xlo + width) / 10, (ylo + height) / 10)
+
+
+@st.composite
+def pinned_designs(draw, with_io):
+    """A small design with a pinned type and random vertical rails.
+
+    Pins sit on layers 1-3 (some with empty rects); each rail family has
+    a random offset, pitch and width on a 0.1 grid, on layers 1-4, and
+    an extent that spans the chip (the walk-plan case) or only part of
+    it.  With ``with_io``, IO pins on layers 1-4 cover parts of a few
+    rows.
+    """
+    num_rows, num_sites = 8, draw(st.integers(12, 40))
+    height = draw(st.integers(1, 3))
+    pins = tuple(
+        PinShape(f"p{index}", draw(st.integers(1, 3)),
+                 draw(grid_rect(6, 20 * height - 4, 5, 5)))
+        for index in range(draw(st.integers(1, 3)))
+    )
+    tech = Technology(cell_types=[CellType("P", 4, height, pins=pins)])
+    design = Design(tech, num_rows=num_rows, num_sites=num_sites,
+                    power_parity=draw(st.integers(0, 1)), name="drawn")
+    chip_x, chip_y = num_sites * design.site_width, num_rows * design.row_height
+    for _ in range(draw(st.integers(1, 3))):
+        pitch = draw(st.integers(1, 30))
+        extent = Interval(0, chip_y)
+        if draw(st.integers(0, 3)) == 0:
+            extent = Interval(*sorted((draw(tenths(0, 160)), draw(tenths(0, 160)))))
+        design.rails.add_rail(Rail(
+            draw(st.integers(1, 4)), VERTICAL,
+            offset=draw(tenths(-20, 40)), pitch=pitch / 10,
+            width=draw(tenths(1, pitch)),
+            span=Interval(draw(tenths(-20, 20)), chip_x), extent=extent,
+        ))
+    if with_io:
+        for index in range(draw(st.integers(0, 4))):
+            rect = draw(grid_rect(2 * num_sites, 20 * num_rows - 1, 10, 60))
+            design.rails.add_io_pin(
+                IOPin(f"io{index}", draw(st.integers(1, 4)), rect)
+            )
+    return design
+
+
+class TestGuardTables:
+    @settings(max_examples=200, deadline=None)
+    @given(design=pinned_designs(with_io=False), data=st.data())
+    def test_blocked_sites_match_x_blocked(self, design, data):
+        cell_type = design.technology.type_named("P")
+        row = data.draw(st.integers(0, design.num_rows - cell_type.height))
+        guard = RoutabilityGuard(design, LegalizerParams())
+        reference = RoutabilityGuard(design, LegalizerParams())
+        expected = [
+            reference.x_blocked(cell_type, row, x)
+            for x in range(design.num_sites + 1)
+        ]
+        assert guard._blocked_sites(cell_type, row) == expected
+        plan = guard._walk_plan(cell_type, row)
+        if plan is not None:
+            assert plan[0] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(design=pinned_designs(with_io=True), data=st.data())
+    def test_feasible_range_matches_reference(self, design, data):
+        cell_type = design.technology.type_named("P")
+        num_sites = design.num_sites
+        io_penalty = data.draw(st.sampled_from([0.0, 10.0]))
+        limit = data.draw(st.integers(0, 50))
+        params = LegalizerParams(io_penalty=io_penalty, feasible_range_limit=limit)
+        guard = RoutabilityGuard(design, params)
+        reference = RoutabilityGuard(design, params)
+        for _ in range(4):
+            row = data.draw(st.integers(0, design.num_rows - cell_type.height))
+            x = data.draw(st.integers(-6, num_sites + 6))
+            bound = st.one_of(
+                st.sampled_from([0, num_sites]), st.integers(-6, num_sites + 6)
+            )
+            lo, hi = sorted((data.draw(bound), data.draw(bound)))
+            assert guard.feasible_range(cell_type, row, x, lo, hi) == (
+                reference_feasible_range(reference, cell_type, row, x, lo, hi)
+            )
+
+
 class TestPlannedWalk:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -173,3 +299,14 @@ class TestFeasibleRange:
         q = nopin_tech.cell_types[0]
         lo, hi = guard.feasible_range(q, 1, 10, 0, 37)
         assert lo >= 8 and hi <= 12
+
+    @pytest.mark.parametrize("segment_lo", [0, -5])  # planned, fallback walk
+    def test_io_pins_bound_range_at_zero_penalty(self, guarded_io, segment_lo):
+        design, _ = guarded_io
+        p = design.technology.type_named("P")
+        free = RoutabilityGuard(design, LegalizerParams(io_penalty=0.0))
+        # Sites 4-6 put the M1 pin on the M1 IO pin; 5 and 15 are also
+        # rail-blocked.  A zero penalty still keeps the cell off the pin.
+        assert free.feasible_range(p, 0, 3, segment_lo, 37) == (segment_lo, 3)
+        assert free.feasible_range(p, 0, 8, segment_lo, 37) == (7, 14)
+        assert free.feasible_range(p, 0, 4, segment_lo, 37) == (4, 4)

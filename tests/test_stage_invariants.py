@@ -76,14 +76,16 @@ class TestMatchingNeutrality:
 
 class TestStage3Guard:
     def test_pin_violations_never_increase(self, rails_design):
-        params = LegalizerParams(scheduler_capacity=1)
-        guard = RoutabilityGuard(rails_design, params)
-        placement = MGLegalizer(rails_design, params, guard=guard).run()
-        before = count_routability_violations(placement).pin_violations
-        optimize_fixed_row_order(placement, params, guard=guard)
-        after = count_routability_violations(placement).pin_violations
-        assert after <= before
-        assert check_legal(placement).is_legal
+        # At io_penalty=0.0, IO pins must still bound the stage-3 ranges.
+        for io_penalty in (10.0, 0.0):
+            params = LegalizerParams(scheduler_capacity=1, io_penalty=io_penalty)
+            guard = RoutabilityGuard(rails_design, params)
+            placement = MGLegalizer(rails_design, params, guard=guard).run()
+            before = count_routability_violations(placement).pin_violations
+            optimize_fixed_row_order(placement, params, guard=guard)
+            after = count_routability_violations(placement).pin_violations
+            assert after <= before, io_penalty
+            assert check_legal(placement).is_legal
 
 
 class TestSchedulerThreads:

@@ -51,26 +51,43 @@ from typing import Any, Dict, List, Optional, Tuple
 
 PERTURBATIONS: Tuple[str, ...] = ("hashseed", "shuffle", "tripwire", "crash")
 
-#: Python-level knob for the number of legalized cells per corpus case;
-#: small enough that a full matrix run stays interactive.
+#: The corpus: ``(name, SyntheticSpec kwargs, LegalizerParams kwargs)``
+#: per case, each legalized by ``legalize()``.  The first three switch
+#: matching and stage 3 off, leaving MGL alone; ``full_flow`` runs every
+#: default stage.  The cell counts are small enough that a full matrix
+#: run stays interactive.
 _CORPUS_RECIPES: Tuple[Tuple[str, Dict[str, Any], Dict[str, Any]], ...] = (
     (
         "serial_fence",
         dict(name="sanitize-serial", cells_by_height={1: 90, 2: 8},
              density=0.55, seed=11, num_fences=1),
-        dict(routability=False, scheduler_capacity=1),
+        dict(routability=False, scheduler_capacity=1,
+             use_matching=False, use_flow_opt=False),
     ),
     (
         "scheduler",
         dict(name="sanitize-sched", cells_by_height={1: 70, 2: 6},
              density=0.5, seed=13),
-        dict(routability=False, scheduler_capacity=4),
+        dict(routability=False, scheduler_capacity=4,
+             use_matching=False, use_flow_opt=False),
     ),
     (
         "workers",
         dict(name="sanitize-workers", cells_by_height={1: 60},
              density=0.5, seed=17),
-        dict(routability=False, scheduler_capacity=8, scheduler_workers=2),
+        dict(routability=False, scheduler_capacity=8, scheduler_workers=2,
+             use_matching=False, use_flow_opt=False),
+    ),
+    (
+        # Mixed heights, a fence, edge rules, the P/G grid and IO pins,
+        # so the routability guard's walk plans and the stage-3 feasible
+        # ranges run under every perturbation; stage 3 picks network
+        # simplex at this size.
+        "full_flow",
+        dict(name="sanitize-flow", cells_by_height={1: 80, 2: 10, 3: 4},
+             density=0.55, seed=23, num_fences=1, with_edge_rules=True,
+             with_rails=True, num_io_pins=6),
+        dict(),
     ),
 )
 
@@ -154,7 +171,7 @@ def run_corpus(
     corpus_dir: Optional[Path] = None,
 ) -> Dict[str, CaseResult]:
     """Legalize every selected corpus case; placement + trace hashes."""
-    from repro.core.mgl import MGLegalizer
+    from repro.core.legalizer import legalize
     from repro.core.params import LegalizerParams
     from repro.obs.manifest import placement_digest
     from repro.obs.tracer import SpanTracer
@@ -165,10 +182,9 @@ def run_corpus(
             continue
         design = _load_design(name, spec_kwargs, corpus_dir)
         tracer = SpanTracer()
-        legalizer = MGLegalizer(
+        placement = legalize(
             design, LegalizerParams(**params_kwargs), tracer=tracer
-        )
-        placement = legalizer.run()
+        ).placement
         results[name] = CaseResult(
             placement=placement_digest(placement),
             trace=tracer.structure_hash(),
