@@ -61,8 +61,8 @@ from repro.core.occupancy import set_expensive_checks
 from repro.core.params import LegalizerParams
 from repro.model.placement import Placement
 from repro.obs.manifest import build_manifest, placement_digest, write_manifest
+from repro.obs.observer import Observer
 from repro.obs.tracer import SpanTracer
-from repro.perf import PerfRecorder
 
 SCALES = [0.004, 0.01, 0.02]
 QUICK_SCALE = 0.004
@@ -99,13 +99,10 @@ def run_mgl(
         c for c in iccad2017_suite(scale=scale, names=[design_name])
     )
     design = case.build()
-    recorder = PerfRecorder()
     legalizer = MGLegalizer(design, params)
     start = time.perf_counter()
-    with recorder.stage("mgl"):
-        placement = legalizer.run()
+    placement = legalizer.run()
     seconds = time.perf_counter() - start
-    recorder.merge_counters(legalizer.stats, prefix="mgl.")
     return {
         "name": design_name,
         "scale": scale,
@@ -247,7 +244,7 @@ def run_trace_determinism_section(
         )
         tracer = SpanTracer()
         placements[worker_count] = MGLegalizer(
-            design, params, tracer=tracer
+            design, params, observer=Observer(tracer=tracer)
         ).run()
         tracers[worker_count] = tracer
     serial_structure = tracers[0].structure_hash()
@@ -336,7 +333,9 @@ def run_sharded_section(
     sharded_params = LegalizerParams(shards=shards, shard_halo_rows=halo_rows)
     tracer = SpanTracer()
     design = case.build()
-    serial_legalizer = MGL(design, sharded_params, tracer=tracer)
+    serial_legalizer = MGL(
+        design, sharded_params, observer=Observer(tracer=tracer)
+    )
     start = time.perf_counter()
     serial_placement = serial_legalizer.run()
     serial_seconds = time.perf_counter() - start
@@ -437,7 +436,9 @@ def run_tracing_overhead_section(
             else None
         )
         legalizer = MGLegalizer(
-            design, LegalizerParams(), tracer=tracer, progress=progress
+            design,
+            LegalizerParams(),
+            observer=Observer(tracer=tracer, progress=progress),
         )
         start = time.perf_counter()
         placement = legalizer.run()

@@ -39,13 +39,13 @@ from repro.core.mgl import LegalizationError
 from repro.io import load_design, load_placement, save_design, save_placement
 from repro.obs.clock import monotonic
 from repro.obs.log import FORMATS, LEVELS, get_logger, setup_logging
+from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.model.design import Design
     from repro.model.placement import Placement
     from repro.obs.progress import ProgressEmitter
     from repro.obs.tracer import SpanTracer
-    from repro.perf import PerfRecorder
 
 #: Default run-store location (relative to the working directory).
 DEFAULT_STORE = ".repro-runs"
@@ -187,11 +187,11 @@ def cmd_legalize(args: argparse.Namespace) -> int:
     run_dir: Optional[Path] = Path(args.run_dir) if args.run_dir else None
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
-    recorder: Optional["PerfRecorder"] = None
-    if args.profile is not None or run_dir is not None or args.store:
-        from repro.perf import PerfRecorder
-
-        recorder = PerfRecorder()
+    # The registry always records; these flags decide who reads it.
+    profiling = (
+        args.profile is not None or run_dir is not None or bool(args.store)
+    )
+    metrics = MetricsRegistry()
     tracer: Optional["SpanTracer"] = None
     # --store records a span profile per run, so it traces too; pair it
     # with --sample-every to bound the overhead on big designs.
@@ -203,8 +203,7 @@ def cmd_legalize(args: argparse.Namespace) -> int:
     start = monotonic()
     try:
         result = legalize(
-            design, params, recorder=recorder, tracer=tracer,
-            progress=progress,
+            design, params, tracer=tracer, metrics=metrics, progress=progress
         )
     except LegalizationError as exc:
         log.error("%s: %s", args.design, exc)
@@ -266,20 +265,23 @@ def cmd_legalize(args: argparse.Namespace) -> int:
             (run_dir / "profile.collapsed").write_text(
                 span_profile.collapsed_stacks()
             )
-    if recorder is not None:
+    if profiling:
+        from repro.obs.report import render_metrics
+
         stats = result.mgl_stats
         print(f"scheduler: {stats.get('scheduler_batches', 0)} batches, "
               f"{stats.get('scheduler_reevaluations', 0)} re-evaluations, "
               f"{stats.get('scheduler_workers_spawned', 0)} workers")
-        print(recorder.summary())
+        print("\n".join(render_metrics(metrics.as_dict())))
+        profile_json = metrics.to_json() + "\n"
         if args.profile:  # a path was given, not the bare flag
-            recorder.write_json(args.profile)
+            Path(args.profile).write_text(profile_json)
             write_manifest(manifest, manifest_path_for(args.profile))
             log.info("perf profile written to %s", args.profile)
         if run_dir is not None:
-            recorder.write_json(str(run_dir / "profile.json"))
+            (run_dir / "profile.json").write_text(profile_json)
             (run_dir / "metrics.prom").write_text(
-                recorder.registry.render_prometheus()
+                metrics.render_prometheus()
             )
     if run_dir is not None:
         write_manifest(manifest, run_dir / "manifest.json")
@@ -289,9 +291,7 @@ def cmd_legalize(args: argparse.Namespace) -> int:
 
         run_id = RunStore(args.store).add_run(
             manifest,
-            metrics=(
-                recorder.registry.as_dict() if recorder is not None else None
-            ),
+            metrics=metrics.as_dict(),
             span_profile=(
                 span_profile.as_dict() if span_profile is not None else None
             ),

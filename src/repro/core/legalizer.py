@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.core.flowopt import FlowOptStats, optimize_fixed_row_order
 from repro.core.globalmove import GlobalMoveStats, optimize_global_moves
@@ -22,16 +22,21 @@ from repro.core.params import LegalizerParams
 from repro.core.refine import RoutabilityGuard
 from repro.model.design import Design
 from repro.model.placement import Placement
-from repro.obs.clock import monotonic
-from repro.obs.metrics import DISPLACEMENT_BUCKETS
-from repro.obs.progress import NULL_PROGRESS, NullProgress
-from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.perf import PerfRecorder
+from repro.obs.metrics import DISPLACEMENT_BUCKETS, MetricsRegistry
+from repro.obs.observer import Observer
+from repro.obs.progress import NullProgress
+from repro.obs.tracer import NullTracer
+
+_Stats = TypeVar("_Stats")
 
 
 @dataclass
 class StageMetrics:
-    """Displacement snapshot after one stage."""
+    """Displacement snapshot after one stage.
+
+    ``seconds`` is the stage's wall time, the same number the metrics
+    registry records under the stage name.
+    """
 
     avg_disp: float
     max_disp: float
@@ -67,22 +72,29 @@ class LegalizationResult:
         return total
 
 
-def _snapshot(placement: Placement, seconds: float) -> StageMetrics:
+def _displacement(placement: Placement) -> Tuple[float, float]:
+    """Average and maximum displacement over the movable cells."""
     disps = [placement.displacement(c) for c in placement.design.movable_cells()]
     if not disps:
-        return StageMetrics(0.0, 0.0, seconds)
-    return StageMetrics(sum(disps) / len(disps), max(disps), seconds)
+        return 0.0, 0.0
+    return sum(disps) / len(disps), max(disps)
 
 
 class Legalizer:
-    """The complete legalization pipeline for one design."""
+    """The complete legalization pipeline for one design.
+
+    ``tracer``, ``metrics`` and ``progress`` are bundled into one
+    :class:`repro.obs.observer.Observer` (:attr:`observer`), the only
+    observability handle the stages below see.
+    """
 
     def __init__(
         self,
         design: Design,
         params: Optional[LegalizerParams] = None,
-        recorder: Optional[PerfRecorder] = None,
+        *,
         tracer: Optional[NullTracer] = None,
+        metrics: Optional[MetricsRegistry] = None,
         progress: Optional[NullProgress] = None,
     ):
         design.validate()
@@ -92,17 +104,8 @@ class Legalizer:
         self.guard = (
             RoutabilityGuard(design, self.params) if self.params.routability else None
         )
-        #: Optional perf instrumentation; stages record into it when set.
-        self.recorder = recorder
-        #: Span tracer; the shared zero-overhead null tracer by default.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Streaming progress emitter; the shared null emitter by default.
         #: Observational only — never perturbs the placement.
-        self.progress = progress if progress is not None else NULL_PROGRESS
-
-    def _record_stage(self, name: str, seconds: float) -> None:
-        if self.recorder is not None:
-            self.recorder.record(name, seconds)
+        self.observer = Observer(tracer, metrics, progress)
 
     def _observe_final_metrics(self, placement: Placement) -> None:
         """Record the final per-height-class displacement histograms.
@@ -111,47 +114,52 @@ class Legalizer:
         row-height units — the distribution behind the S_am (Eq. 2) and
         max-disp quality numbers.
         """
-        if self.recorder is None:
-            return
-        registry = self.recorder.registry
         design = self.design
         for cell in design.movable_cells():
             height = design.cell_type_of(cell).height
-            registry.observe(
+            self.observer.observe(
                 f"disp.h{height}",
                 placement.displacement(cell),
                 DISPLACEMENT_BUCKETS,
             )
 
+    def _run_stage(
+        self, name: str, placement: Placement, optimize: Callable[[], _Stats]
+    ) -> Tuple[_Stats, StageMetrics]:
+        """Run one post-MGL stage under its observer stage.
+
+        The stage span carries the displacement the stage left behind.
+        """
+        with self.observer.stage(name) as stage:
+            stats = optimize()
+            avg_disp, max_disp = _displacement(placement)
+            if stage.span.recording:
+                stage.span.set(avg_disp=avg_disp, max_disp=max_disp)
+        return stats, StageMetrics(avg_disp, max_disp, stage.seconds)
+
     def run(self) -> LegalizationResult:
         """Run all enabled stages and return placement plus metrics."""
         params = self.params
-        tracer = self.tracer
-        progress = self.progress
+        observer = self.observer
+        tracer = observer.tracer
 
         with tracer.span("legalize") as root:
             if tracer.enabled:
                 root.set(
                     design=self.design.name, cells=self.design.num_cells
                 )
-            progress.phase(
-                "mgl",
-                design=self.design.name,
-                cells=self.design.num_cells,
-            )
-            start = monotonic()
-            with tracer.span("mgl") as mgl_span:
+            with observer.stage(
+                "mgl", design=self.design.name, cells=self.design.num_cells
+            ) as stage:
                 mgl = MGLegalizer(
-                    self.design, params, guard=self.guard,
-                    recorder=self.recorder, tracer=tracer,
-                    progress=progress,
+                    self.design, params, guard=self.guard, observer=observer
                 )
                 placement = mgl.run()
                 if tracer.enabled:
                     # Only worker-count-invariant stats become span
-                    # attrs; cache/parallel counters depend on where
-                    # each evaluation happened to run.
-                    mgl_span.set(
+                    # attrs; parallel counters depend on where each
+                    # evaluation happened to run.
+                    stage.span.set(
                         cells_placed=mgl.stats["cells_placed"],
                         window_expansions=mgl.stats["window_expansions"],
                         scheduler_batches=mgl.stats["scheduler_batches"],
@@ -159,10 +167,11 @@ class Legalizer:
                             "scheduler_reevaluations"
                         ],
                     )
-            mgl_seconds = monotonic() - start
             result = LegalizationResult(
                 placement=placement,
-                after_mgl=_snapshot(placement, mgl_seconds),
+                after_mgl=StageMetrics(
+                    *_displacement(placement), stage.seconds
+                ),
                 mgl_stats=dict(mgl.stats),
                 shard_topology=(
                     mgl.shard_topology.as_dict()
@@ -170,68 +179,41 @@ class Legalizer:
                     else None
                 ),
             )
-            self._record_stage("mgl", mgl_seconds)
-            if self.recorder is not None:
-                self.recorder.merge_counters(mgl.stats, prefix="mgl.")
+            for key, value in mgl.stats.items():
+                observer.count(f"mgl.{key}", value)
 
             if params.use_matching:
-                progress.phase("matching")
-                start = monotonic()
-                with tracer.span("matching") as span:
-                    result.matching_stats = optimize_max_displacement(
-                        placement, params
+                result.matching_stats, result.after_matching = (
+                    self._run_stage(
+                        "matching", placement,
+                        lambda: optimize_max_displacement(placement, params),
                     )
-                    result.after_matching = _snapshot(
-                        placement, monotonic() - start
-                    )
-                    if tracer.enabled:
-                        span.set(
-                            avg_disp=result.after_matching.avg_disp,
-                            max_disp=result.after_matching.max_disp,
-                        )
-                self._record_stage("matching", result.after_matching.seconds)
-
+                )
             if params.use_flow_opt:
-                progress.phase("flow_opt")
-                start = monotonic()
-                with tracer.span("flow_opt") as span:
-                    result.flow_stats = optimize_fixed_row_order(
+                result.flow_stats, result.after_flow = self._run_stage(
+                    "flow_opt", placement,
+                    lambda: optimize_fixed_row_order(
                         placement, params, guard=self.guard
-                    )
-                    result.after_flow = _snapshot(placement, monotonic() - start)
-                    if tracer.enabled:
-                        span.set(
-                            avg_disp=result.after_flow.avg_disp,
-                            max_disp=result.after_flow.max_disp,
-                        )
-                self._record_stage("flow_opt", result.after_flow.seconds)
-
+                    ),
+                )
             if params.use_global_moves:
-                progress.phase("global_moves")
-                start = monotonic()
-                with tracer.span("global_moves") as span:
-                    result.global_move_stats = optimize_global_moves(
-                        placement, params, guard=self.guard
+                result.global_move_stats, result.after_global_moves = (
+                    self._run_stage(
+                        "global_moves", placement,
+                        lambda: optimize_global_moves(
+                            placement, params, guard=self.guard
+                        ),
                     )
-                    result.after_global_moves = _snapshot(
-                        placement, monotonic() - start
-                    )
-                    if tracer.enabled:
-                        span.set(
-                            avg_disp=result.after_global_moves.avg_disp,
-                            max_disp=result.after_global_moves.max_disp,
-                        )
-                self._record_stage(
-                    "global_moves", result.after_global_moves.seconds
                 )
 
             self._observe_final_metrics(placement)
+            progress = observer.progress
             if progress.enabled:
-                final = _snapshot(placement, result.total_seconds)
+                avg_disp, max_disp = _displacement(placement)
                 progress.phase(
                     "done",
-                    avg_disp=round(final.avg_disp, 4),
-                    max_disp=round(final.max_disp, 4),
+                    avg_disp=round(avg_disp, 4),
+                    max_disp=round(max_disp, 4),
                     seconds=round(result.total_seconds, 4),
                 )
                 progress.close()
@@ -241,8 +223,9 @@ class Legalizer:
 def legalize(
     design: Design,
     params: Optional[LegalizerParams] = None,
-    recorder: Optional[PerfRecorder] = None,
+    *,
     tracer: Optional[NullTracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
     progress: Optional[NullProgress] = None,
 ) -> LegalizationResult:
     """Legalize ``design`` with the paper's full flow.
@@ -253,14 +236,14 @@ def legalize(
         result = legalize(design)
         placement = result.placement
 
-    Pass a :class:`repro.perf.PerfRecorder` to collect per-stage wall
-    times and the legalizer's counters (``repro legalize --profile``
-    from the CLI), a :class:`repro.obs.SpanTracer` to record the span
-    tree (``repro legalize --trace``), and/or a
-    :class:`repro.obs.progress.ProgressEmitter` to stream progress
-    events while the run is going (``repro legalize --progress``); none
-    of them perturbs the placement.
+    Pass a :class:`repro.obs.SpanTracer` to record the span tree
+    (``repro legalize --trace``), a :class:`repro.obs.MetricsRegistry`
+    to collect per-stage wall times, the legalizer's counters and its
+    histograms (``repro legalize --profile``), and/or a
+    :class:`repro.obs.ProgressEmitter` to stream progress events while
+    the run is going (``repro legalize --progress``); none of them
+    perturbs the placement.
     """
     return Legalizer(
-        design, params, recorder=recorder, tracer=tracer, progress=progress
+        design, params, tracer=tracer, metrics=metrics, progress=progress
     ).run()

@@ -22,12 +22,11 @@ from repro.model.geometry import Rect
 from repro.model.placement import Placement
 from repro.obs.clock import monotonic
 from repro.obs.metrics import BATCH_WIDTH_BUCKETS, EXPANSION_BUCKETS
-from repro.obs.progress import NULL_PROGRESS, NullProgress
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, SpanPayload
+from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.tracer import Span, SpanPayload
 
 if TYPE_CHECKING:
     from repro.core.shard import ShardTopology
-    from repro.perf import PerfRecorder
 
 
 class LegalizationError(Exception):
@@ -133,14 +132,12 @@ class MGLegalizer:
         params: tunables; see :class:`LegalizerParams`.
         guard: routability guard, built automatically whenever
             ``params.routability`` is set, rails and pins or not.
-        recorder: optional perf instrumentation, forwarded to the
-            scheduler's parallel backend for per-worker timers.
-        tracer: optional span tracer; the shared zero-overhead
-            :data:`repro.obs.tracer.NULL_TRACER` when omitted.
-        progress: optional streaming progress emitter; the shared
-            :data:`repro.obs.progress.NULL_PROGRESS` when omitted.
-            Events are observational only — placements are bit-identical
-            with the emitter on or off.
+        observer: spans, metrics and progress events for the run
+            (:class:`repro.obs.observer.Observer`); the shared
+            :data:`~repro.obs.observer.NULL_OBSERVER` when omitted.  The
+            scheduler, its worker pool and the shard path all record
+            through it.  Observational only — placements are
+            bit-identical with any observer.
     """
 
     def __init__(
@@ -149,17 +146,13 @@ class MGLegalizer:
         params: Optional[LegalizerParams] = None,
         guard: Optional[RoutabilityGuard] = None,
         reference: str = "gp",
-        recorder: Optional["PerfRecorder"] = None,
-        tracer: Optional[NullTracer] = None,
-        progress: Optional[NullProgress] = None,
+        observer: Observer = NULL_OBSERVER,
     ):
         self.design = design
         self.params = params or LegalizerParams()
         self.params.validate()
         self.reference = reference
-        self.recorder = recorder
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.progress = progress if progress is not None else NULL_PROGRESS
+        self.observer = observer
         if guard is None and self.params.routability:
             guard = RoutabilityGuard(design, self.params)
         self.guard = guard
@@ -312,8 +305,8 @@ class MGLegalizer:
         capacity autotuner reads (see repro.obs.autotune).
         """
         soa = self.soa_for(occupancy)
-        if self.recorder is not None and tasks:
-            self.recorder.registry.observe(
+        if tasks:
+            self.observer.observe(
                 "mgl.batch_width", float(len(tasks)), BATCH_WIDTH_BUCKETS
             )
         return [
@@ -380,7 +373,7 @@ class MGLegalizer:
         the untraced path — the keep/drop decision is cell-based, so it
         too is worker-count independent.
         """
-        tracer = self.tracer
+        tracer = self.observer.tracer
         if not tracer.enabled or not tracer.sampled(cell):
             return self.try_insert(occupancy, cell, window, exhaustive=exhaustive)
         started = monotonic()
@@ -398,24 +391,30 @@ class MGLegalizer:
         ])
         return best
 
-    def finish_window_span(
+    def place(
         self,
+        occupancy: Occupancy,
         span: Span,
         cell: int,
         window: Rect,
         expansions: int,
         insertion: EvaluatedInsertion,
-        placement: Placement,
         exhaustive: bool = False,
     ) -> None:
-        """Stamp a completed ``window`` span with its structural attrs.
+        """Commit one evaluated insertion found after ``expansions`` retries.
 
-        All values are pure functions of the legalization inputs (the
-        resulting displacement comes from the just-applied placement),
-        so they are safe under the structure-hash determinism contract.
-        Sampled-out cells hand in the shared null span, whose
-        ``recording`` flag short-circuits the attribute computation.
+        Applies it, records the ``mgl.expansion_depth`` sample and
+        stamps the cell's ``window`` span: the one commit path of the
+        serial loop, the scheduler and shard reconciliation.  Every span
+        attr is a pure function of the legalization inputs (the
+        displacement comes from the just-applied placement), so the
+        structure hash stays deterministic.  Sampled-out cells hand in
+        the shared null span, whose ``recording`` flag skips the attrs.
         """
+        self.apply_insertion(occupancy, cell, insertion)
+        self.observer.observe(
+            "mgl.expansion_depth", float(expansions), EXPANSION_BUCKETS
+        )
         if not span.recording:
             return
         span.set(
@@ -428,16 +427,31 @@ class MGLegalizer:
             x=insertion.x,
             y=insertion.y,
             cost=insertion.cost,
-            disp=placement.displacement(cell),
+            disp=occupancy.placement.displacement(cell),
             exhaustive=exhaustive,
         )
 
-    def observe_expansions(self, depth: int) -> None:
-        """Record one cell's window-expansion depth in the metrics registry."""
-        if self.recorder is not None:
-            self.recorder.registry.observe(
-                "mgl.expansion_depth", float(depth), EXPANSION_BUCKETS
+    def place_exhaustive(
+        self, occupancy: Occupancy, span: Span, cell: int
+    ) -> EvaluatedInsertion:
+        """Last resort: the whole chip as the window, with all caps lifted.
+
+        Raises:
+            LegalizationError: when not even the chip window holds the
+                cell, naming the cell and its fence.
+        """
+        chip = self.design.chip_rect
+        insertion = self.traced_evaluate(occupancy, cell, chip, exhaustive=True)
+        if insertion is None:
+            raise LegalizationError(
+                f"cell {cell} ({self.design.cells[cell].name!r}) cannot be "
+                f"placed; fence {self.design.fence_of(cell)} appears over-full"
             )
+        self.place(
+            occupancy, span, cell, chip, self.params.max_expansions,
+            insertion, exhaustive=True,
+        )
+        return insertion
 
     def apply_insertion(
         self, occupancy: Occupancy, cell: int, insertion: EvaluatedInsertion
@@ -468,38 +482,18 @@ class MGLegalizer:
                 the final (chip-sized) window.
         """
         scale = 1.0
-        with self.tracer.cell_span("window", cell) as span:
+        with self.observer.tracer.cell_span("window", cell) as span:
             for attempt in range(self.params.max_expansions):
                 window = self.initial_window(cell, scale)
                 insertion = self.traced_evaluate(occupancy, cell, window)
                 if insertion is not None:
-                    self.apply_insertion(occupancy, cell, insertion)
-                    self.finish_window_span(
-                        span, cell, window, attempt, insertion,
-                        occupancy.placement,
+                    self.place(
+                        occupancy, span, cell, window, attempt, insertion
                     )
-                    self.observe_expansions(attempt)
                     return insertion
                 self.stats["window_expansions"] += 1
                 scale *= self.params.window_expand
-            # Last resort: the whole chip as the window, with all caps
-            # lifted.
-            insertion = self.traced_evaluate(
-                occupancy, cell, self.design.chip_rect, exhaustive=True
-            )
-            if insertion is not None:
-                self.apply_insertion(occupancy, cell, insertion)
-                self.finish_window_span(
-                    span, cell, self.design.chip_rect,
-                    self.params.max_expansions, insertion,
-                    occupancy.placement, exhaustive=True,
-                )
-                self.observe_expansions(self.params.max_expansions)
-                return insertion
-        raise LegalizationError(
-            f"cell {cell} ({self.design.cells[cell].name!r}) cannot be placed; "
-            f"fence {self.design.fence_of(cell)} appears over-full"
-        )
+            return self.place_exhaustive(occupancy, span, cell)
 
     def run(self, placement: Optional[Placement] = None) -> Placement:
         """Legalize every movable cell; returns the placement.
@@ -521,7 +515,7 @@ class MGLegalizer:
         # pure function of this order, never of the execution path
         # (serial / scheduler / sharded) chosen below.
         order = mgl_cell_order(design, self.params)
-        self.tracer.set_cell_population(order)
+        self.observer.tracer.set_cell_population(order)
         if self.params.shards > 1:
             from repro.core.shard import run_sharded
 
@@ -532,7 +526,7 @@ class MGLegalizer:
             WindowScheduler(self, occupancy).run()
         else:
             total = len(order)
-            progress = self.progress
+            progress = self.observer.progress
             progress.phase("mgl_serial", cells=total)
             for placed, cell in enumerate(order, start=1):
                 self.legalize_cell(occupancy, cell)

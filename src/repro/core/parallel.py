@@ -54,7 +54,6 @@ if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
     from repro.core.mgl import MGLegalizer
-    from repro.perf import PerfRecorder
 
 #: Seconds the parent waits for one worker's batch results (or its spawn
 #: handshake) before retiring it and re-evaluating in-process.  Generous:
@@ -232,11 +231,11 @@ class ParallelEvaluator:
     between batches) lands in the delta stream automatically.
 
     Args:
-        legalizer: the scheduler's legalizer (provides params, stats and
-            the in-process fallback evaluation).
+        legalizer: the scheduler's legalizer (provides params, stats,
+            the in-process fallback evaluation, and the observer that
+            receives per-worker busy timers and retirement counts).
         occupancy: the live occupancy the scheduler mutates.
         num_workers: processes to spawn (>= 1).
-        recorder: optional perf recorder for per-worker busy timers.
 
     Raises:
         ParallelUnavailable: when no worker survives the spawn
@@ -248,12 +247,10 @@ class ParallelEvaluator:
         legalizer: "MGLegalizer",
         occupancy: Occupancy,
         num_workers: int,
-        recorder: Optional["PerfRecorder"] = None,
         timeout: float = WORKER_TIMEOUT,
     ):
         self.legalizer = legalizer
         self.occupancy = occupancy
-        self.recorder = recorder
         self.timeout = timeout
         self._journal: List[DeltaOp] = []
         self._base = 0  # Absolute journal position of self._journal[0].
@@ -383,10 +380,9 @@ class ParallelEvaluator:
                     if reply[0] != "results":
                         raise RuntimeError(f"worker reported: {reply!r}")
                     _tag, worker_results, busy_seconds = reply
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            f"parallel.worker{worker.index}", busy_seconds
-                        )
+                    legalizer.observer.record_time(
+                        f"parallel.worker{worker.index}", busy_seconds
+                    )
                     for slot, best, points, payload in worker_results:
                         if payload is not None:
                             # Which worker ran it is non-structural meta.
@@ -459,8 +455,7 @@ class ParallelEvaluator:
         self.legalizer.stats["parallel_worker_failures"] += 1
         # The in-process fallback makes retirement invisible in the
         # placement, so surface it in the metrics registry explicitly.
-        if self.recorder is not None:
-            self.recorder.registry.count("scheduler.worker_retired")
+        self.legalizer.observer.count("scheduler.worker_retired")
         try:
             worker.conn.close()
         except OSError:  # pragma: no cover

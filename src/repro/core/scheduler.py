@@ -27,7 +27,6 @@ from typing import Deque, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.core.insertion import EvaluatedInsertion
 from repro.core.mgl import (
-    LegalizationError,
     MGLegalizer,
     disp_so_far,
     evaluation_span_payload,
@@ -78,7 +77,8 @@ class WindowScheduler:
             for cell in mgl_cell_order(legalizer.design, params)
         )
         total_cells = len(waiting)
-        progress = legalizer.progress
+        observer = legalizer.observer
+        progress = observer.progress
         progress.phase(
             "mgl_scheduler",
             cells=total_cells,
@@ -91,27 +91,23 @@ class WindowScheduler:
 
             try:
                 parallel = ParallelEvaluator(
-                    legalizer,
-                    self.occupancy,
-                    self.workers,
-                    recorder=legalizer.recorder,
+                    legalizer, self.occupancy, self.workers
                 )
             except ParallelUnavailable:
                 # Degrade to the (identical-output) in-process path.
                 parallel = None
         self.parallel = parallel
 
-        tracer = legalizer.tracer
+        tracer = observer.tracer
         try:
             while waiting:
                 batch, waiting = self._select_batch(waiting)
                 self.batches_run += 1
-                if legalizer.recorder is not None:
-                    legalizer.recorder.registry.observe(
-                        "scheduler.batch_occupancy",
-                        float(len(batch)),
-                        BATCH_OCCUPANCY_BUCKETS,
-                    )
+                observer.observe(
+                    "scheduler.batch_occupancy",
+                    float(len(batch)),
+                    BATCH_OCCUPANCY_BUCKETS,
+                )
                 with tracer.span("batch") as batch_span:
                     if tracer.enabled:
                         batch_span.set(size=len(batch))
@@ -137,40 +133,19 @@ class WindowScheduler:
                                     self.occupancy, cell, window, reeval=True
                                 )
                             if insertion is not None:
-                                legalizer.apply_insertion(
-                                    self.occupancy, cell, insertion
+                                legalizer.place(
+                                    self.occupancy, span, cell, window,
+                                    attempts, insertion,
                                 )
-                                legalizer.finish_window_span(
-                                    span, cell, window, attempts, insertion,
-                                    self.occupancy.placement,
-                                )
-                                legalizer.observe_expansions(attempts)
                                 continue
                             legalizer.stats["window_expansions"] += 1
                             attempts += 1
                             if attempts >= params.max_expansions:
                                 # Final attempt at chip scale,
                                 # synchronously and exhaustively.
-                                chip = legalizer.design.chip_rect
-                                insertion = legalizer.traced_evaluate(
-                                    self.occupancy, cell, chip,
-                                    exhaustive=True,
+                                legalizer.place_exhaustive(
+                                    self.occupancy, span, cell
                                 )
-                                if insertion is None:
-                                    raise LegalizationError(
-                                        f"cell {cell} cannot be placed; "
-                                        f"fence "
-                                        f"{legalizer.design.fence_of(cell)} "
-                                        f"appears over-full"
-                                    )
-                                legalizer.apply_insertion(
-                                    self.occupancy, cell, insertion
-                                )
-                                legalizer.finish_window_span(
-                                    span, cell, chip, attempts, insertion,
-                                    self.occupancy.placement, exhaustive=True,
-                                )
-                                legalizer.observe_expansions(attempts)
                             else:
                                 # Re-queue at the front: a failed (usually
                                 # large) cell must not fall behind the
@@ -245,12 +220,14 @@ class WindowScheduler:
         same width so the distribution stays backend-independent.
         """
         legalizer = self.legalizer
-        traced = legalizer.tracer.enabled
+        tracer = legalizer.observer.tracer
         parallel = self.parallel
         if parallel is not None and len(batch) > 1:
             if parallel.active:
                 self._observe_batch_width(len(batch))
-                return parallel.evaluate_batch(batch, want_payloads=traced)
+                return parallel.evaluate_batch(
+                    batch, want_payloads=tracer.enabled
+                )
             # Every worker failed earlier; continue serially for the
             # rest of the run (identical placements either way).
             parallel.close()
@@ -265,7 +242,7 @@ class WindowScheduler:
             (
                 best,
                 evaluation_span_payload(points, best)
-                if traced and legalizer.tracer.sampled(cell)
+                if tracer.enabled and tracer.sampled(cell)
                 else None,
             )
             for (cell, _scale, _attempts, _window), (best, points)
@@ -280,10 +257,9 @@ class WindowScheduler:
         here keeps the ``mgl.batch_width`` distribution identical across
         backends (the metrics determinism contract).
         """
-        if self.legalizer.recorder is not None:
-            self.legalizer.recorder.registry.observe(
-                "mgl.batch_width", float(width), BATCH_WIDTH_BUCKETS
-            )
+        self.legalizer.observer.observe(
+            "mgl.batch_width", float(width), BATCH_WIDTH_BUCKETS
+        )
 
     def _still_valid(self, target: int, insertion: EvaluatedInsertion) -> bool:
         """Check the evaluated moves against the *current* occupancy.

@@ -72,14 +72,12 @@ from repro.model.geometry import Rect
 from repro.model.placement import Placement
 from repro.obs.clock import monotonic
 from repro.obs.metrics import SHARD_OCCUPANCY_BUCKETS
+from repro.obs.observer import NULL_OBSERVER, Observer
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
     from repro.core.mgl import MGLegalizer
-    from repro.obs.progress import NullProgress
-    from repro.obs.tracer import NullTracer
-    from repro.perf import PerfRecorder
 
 __all__ = [
     "Shard",
@@ -437,32 +435,31 @@ class _ShardWorker:
 
 
 def _run_shard_pool(
-    design: Design,
+    legalizer: "MGLegalizer",
     params: LegalizerParams,
-    reference: str,
     shards: Sequence[Shard],
     num_workers: int,
-    stats: Dict[str, int],
-    recorder: Optional["PerfRecorder"],
 ) -> Dict[int, ShardInteriorResult]:
     """Fan shards out to a process pool; return whatever succeeded.
 
+    Every worker legalizes its shards with the interior ``params``.
     Shards are striped over the workers that survive the init
     handshake; each worker receives one message with its share and
     sends one reply.  Workers that fail at any point are retired (a
-    ``shard.worker_retired`` counter when a recorder is attached) and
+    ``shard.worker_retired`` count on the legalizer's observer) and
     their shards simply stay absent from the result map — the caller
     recomputes them in-process, so failures cost time, never answers.
     """
     results: Dict[int, ShardInteriorResult] = {}
+    stats = legalizer.stats
+    observer = legalizer.observer
 
     def retire(worker: _ShardWorker) -> None:
         if not worker.alive:
             return
         worker.alive = False
         stats["shard_worker_failures"] += 1
-        if recorder is not None:
-            recorder.registry.count("shard.worker_retired")
+        observer.count("shard.worker_retired")
         try:
             worker.conn.close()
         except OSError:  # pragma: no cover
@@ -475,7 +472,7 @@ def _run_shard_pool(
     except Exception:  # noqa: BLE001 - no multiprocessing at all
         stats["shard_worker_failures"] += num_workers
         return results
-    init_message = ("init", design, params, reference)
+    init_message = ("init", legalizer.design, params, legalizer.reference)
     workers: List[_ShardWorker] = []
     for index in range(num_workers):
         try:
@@ -526,10 +523,9 @@ def _run_shard_pool(
                 if reply[0] != "results":
                     raise RuntimeError(f"shard worker reported: {reply!r}")
                 _tag, worker_results, busy_seconds = reply
-                if recorder is not None:
-                    recorder.record(
-                        f"shard.worker{worker.index}", busy_seconds
-                    )
+                observer.record_time(
+                    f"shard.worker{worker.index}", busy_seconds
+                )
                 for result in worker_results:
                     results[result.index] = result
             except Exception:  # noqa: BLE001 - retire, recompute locally
@@ -590,9 +586,9 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
 
     design = legalizer.design
     params = legalizer.params
-    tracer = legalizer.tracer
-    recorder = legalizer.recorder
-    progress = legalizer.progress
+    observer = legalizer.observer
+    tracer = observer.tracer
+    progress = observer.progress
     stats = legalizer.stats
     for key in SHARD_STAT_KEYS:
         stats.setdefault(key, 0)
@@ -625,8 +621,7 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
         )
         if num_workers >= 1:
             results = _run_shard_pool(
-                design, iparams, legalizer.reference, topology.shards,
-                num_workers, stats, recorder,
+                legalizer, iparams, topology.shards, num_workers
             )
             missing = len(topology.shards) - len(results)
             stats["shard_fallbacks"] += missing
@@ -655,12 +650,11 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
                         placed=len(result.positions),
                         deferred=len(result.deferred),
                     )
-            if recorder is not None:
-                recorder.registry.observe(
-                    "shard.occupancy",
-                    float(len(result.positions)),
-                    SHARD_OCCUPANCY_BUCKETS,
-                )
+            observer.observe(
+                "shard.occupancy",
+                float(len(result.positions)),
+                SHARD_OCCUPANCY_BUCKETS,
+            )
             progress.heartbeat(
                 "shard",
                 shard=shard.index,
@@ -698,11 +692,8 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
         stats["cells_placed"] -= len(halo_resident)
         stats["shard_halo_cells"] += len(halo_resident)
         stats["shard_deferred"] += len(deferred)
-        if recorder is not None:
-            recorder.registry.count(
-                "shard.halo_relegalized", len(halo_resident)
-            )
-            recorder.registry.count("shard.deferred", len(deferred))
+        observer.count("shard.halo_relegalized", len(halo_resident))
+        observer.count("shard.deferred", len(deferred))
 
         # Reconcile in the fixed global order against the stitched
         # full-die occupancy: ordinary unclamped legalize_cell, so a
@@ -737,9 +728,7 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
 def run_sharded_mgl(
     design: Design,
     params: LegalizerParams,
-    recorder: Optional["PerfRecorder"] = None,
-    tracer: Optional["NullTracer"] = None,
-    progress: Optional["NullProgress"] = None,
+    observer: Observer = NULL_OBSERVER,
 ) -> Tuple[Placement, "MGLegalizer"]:
     """Run the sharded path directly, for any shard count (including 1).
 
@@ -749,9 +738,7 @@ def run_sharded_mgl(
     """
     from repro.core.mgl import MGLegalizer
 
-    legalizer = MGLegalizer(
-        design, params, recorder=recorder, tracer=tracer, progress=progress
-    )
+    legalizer = MGLegalizer(design, params, observer=observer)
     placement = Placement(design)
     occupancy = Occupancy(design, placement)
     for cell in range(design.num_cells):

@@ -1,12 +1,12 @@
 """Observability: tracing, metrics, progress, manifests, logging.
 
-Import surface is deliberately light — tracer, metrics, progress,
-clock, and log only, so ``repro.obs`` can be imported from anywhere in
-the package (including :mod:`repro.core`) without cycles.  Manifests,
-span profiles, the run store, and the report renderer import model/io
-types and live behind explicit ``repro.obs.manifest`` /
-``repro.obs.profile`` / ``repro.obs.runstore`` / ``repro.obs.report``
-imports.
+Import surface is deliberately light — tracer, metrics, progress, the
+observer that bundles them, clock, and log only, so ``repro.obs`` can be
+imported from anywhere in the package (including :mod:`repro.core`)
+without cycles.  Manifests, span profiles, the run store, and the
+report renderer import model/io types and live behind explicit
+``repro.obs.manifest`` / ``repro.obs.profile`` / ``repro.obs.runstore``
+/ ``repro.obs.report`` imports.
 """
 
 from repro.obs.clock import monotonic
@@ -19,6 +19,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_prometheus,
 )
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.progress import (
     NULL_PROGRESS,
     NullProgress,
@@ -40,10 +41,12 @@ __all__ = [
     "EXPANSION_BUCKETS",
     "Histogram",
     "MetricsRegistry",
+    "NULL_OBSERVER",
     "NULL_PROGRESS",
     "NULL_TRACER",
     "NullProgress",
     "NullTracer",
+    "Observer",
     "ProgressEmitter",
     "Span",
     "SpanPayload",

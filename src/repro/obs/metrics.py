@@ -2,22 +2,30 @@
 
 One :class:`MetricsRegistry` collects everything a run observes:
 
-* **counters** — monotone integer totals (insertions evaluated, cache
-  hits, scheduler re-evaluations);
+* **counters** — monotone integer totals (insertions evaluated, cells
+  placed, scheduler re-evaluations);
 * **gauges** — last-write-wins floats;
-* **timings** — accumulated stage seconds plus call counts (the
-  :class:`repro.perf.PerfRecorder` stage timers live here);
+* **timings** — accumulated seconds plus call counts: one per flow
+  stage (``mgl``, ``matching``, ``flow_opt``, recorded by
+  :meth:`repro.obs.observer.Observer.stage`) and the dotted per-worker
+  busy timers (``parallel.worker<i>``, ``shard.worker<i>``) that run
+  inside ``mgl``;
 * **histograms** — fixed-bucket distributions: per-height-class
   displacement in row-height units (the distribution behind S_am /
   Eq. 2 and max-disp), window expansion depth, scheduler batch
   occupancy.
 
-Everything except the timings is a pure function of the legalization
-inputs, and serialization (:meth:`MetricsRegistry.as_dict` with
-``sort_keys`` at dump time) is deterministic: two runs of the same
-design at any worker count produce byte-identical counter/gauge/
-histogram sections.  The registry is injected explicitly (usually via a
-:class:`repro.perf.PerfRecorder`); un-instrumented runs never touch it.
+Serialization (:meth:`MetricsRegistry.as_dict` with ``sort_keys`` at
+dump time) is deterministic.  Histograms and gauges are pure functions
+of the legalization inputs, byte-identical at any worker count.  So are
+the counters, except those that record where the work ran: the
+process-pool counters ``mgl.parallel_*`` and
+``mgl.scheduler_workers_spawned``, the shard-pool counters
+``mgl.shard_workers_spawned``, ``mgl.shard_fallbacks`` and
+``mgl.shard_worker_failures``, and the ``scheduler.worker_retired`` /
+``shard.worker_retired`` retirement counts.  Timings are wall-clock.
+The registry is injected explicitly (``legalize(..., metrics=...)``);
+un-instrumented runs never touch it.
 """
 
 from __future__ import annotations

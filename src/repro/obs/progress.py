@@ -10,8 +10,9 @@ run finishes.
 
 Events are **observational only**: emitting them never changes the
 legalization result.  The emitter is injected next to the tracer and
-recorder (see :func:`repro.core.legalizer.legalize`); the shared
-:data:`NULL_PROGRESS` null object is the default, so un-instrumented
+metrics registry (see :func:`repro.core.legalizer.legalize`), which
+bundles the three into one :class:`repro.obs.observer.Observer`; the
+shared :data:`NULL_PROGRESS` null object is the default, so un-instrumented
 runs pay one attribute read per milestone.  Expensive event fields
 (displacement-so-far is an O(placed) sum) are passed as callables and
 only evaluated when the throttle actually lets an event through.

@@ -40,6 +40,7 @@ __all__ = [
     "RunArtifacts",
     "load_run",
     "render_diff",
+    "render_metrics",
     "render_run",
     "span_profile_for",
 ]
@@ -248,6 +249,46 @@ def _render_bench(bench: JsonDict, lines: List[str]) -> None:
         )
 
 
+def render_metrics(profile: Optional[JsonDict]) -> List[str]:
+    """The timings, counters, gauges and histograms of one profile.
+
+    ``profile`` is a :meth:`MetricsRegistry.as_dict` snapshot (a run's
+    ``profile.json``).  Each timing's share is of the total over the
+    stage timings, the names without a dot: dotted sub-timers such as
+    the ``parallel.worker<i>`` busy timers run inside a stage, so they
+    show a share of that total but do not add to it.
+    """
+    lines: List[str] = []
+    timings = _section(profile, "timings")
+    if timings:
+        lines.append("timings")
+        total = sum(
+            float(seconds)
+            for name, seconds in timings.items()
+            if "." not in name
+        )
+        for name in sorted(timings, key=lambda key: -float(timings[key])):
+            seconds = float(timings[name])
+            share = 100.0 * seconds / total if total > 0 else 0.0
+            lines.append(f"  {name:24s} {seconds:9.3f}s  {share:5.1f}%")
+    counters = _section(profile, "counters")
+    if counters:
+        lines.append("counters")
+        for name in sorted(counters):
+            lines.append(f"  {name:32s} {int(counters[name]):>12d}")
+    gauges = _section(profile, "gauges")
+    if gauges:
+        lines.append("gauges")
+        for name in sorted(gauges):
+            lines.append(f"  {name:32s} {float(gauges[name]):>12.4f}")
+    histograms = _section(profile, "histograms")
+    if histograms:
+        lines.append("histograms")
+        for name in sorted(histograms):
+            _render_histogram(name, histograms[name], lines)
+    return lines
+
+
 def render_run(run: RunArtifacts) -> str:
     """Human-readable summary of one run."""
     lines = [f"run: {run.label}"]
@@ -258,29 +299,7 @@ def render_run(run: RunArtifacts) -> str:
         return "\n".join(lines)
     if run.manifest:
         _render_manifest(run.manifest, lines)
-    timings = _section(run.profile, "timings")
-    if timings:
-        lines.append("timings")
-        total = sum(float(seconds) for seconds in timings.values())
-        for name in sorted(timings, key=lambda key: -float(timings[key])):
-            seconds = float(timings[name])
-            share = 100.0 * seconds / total if total > 0 else 0.0
-            lines.append(f"  {name:24s} {seconds:9.3f}s  {share:5.1f}%")
-    counters = _section(run.profile, "counters")
-    if counters:
-        lines.append("counters")
-        for name in sorted(counters):
-            lines.append(f"  {name:32s} {int(counters[name]):>12d}")
-    gauges = _section(run.profile, "gauges")
-    if gauges:
-        lines.append("gauges")
-        for name in sorted(gauges):
-            lines.append(f"  {name:32s} {float(gauges[name]):>12.4f}")
-    histograms = _section(run.profile, "histograms")
-    if histograms:
-        lines.append("histograms")
-        for name in sorted(histograms):
-            _render_histogram(name, histograms[name], lines)
+    lines.extend(render_metrics(run.profile))
     if run.trace_path is not None:
         lines.append(f"trace: {run.trace_path} (load at https://ui.perfetto.dev)")
     advice = advice_for_run(run.profile, run.manifest)

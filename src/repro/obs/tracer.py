@@ -104,7 +104,7 @@ class Span:
 
     #: True on recorded spans, False on the shared null span — hot paths
     #: gate expensive attribute computation on this so a sampled-out
-    #: cell's ``finish_window_span`` costs one attribute read.
+    #: cell's ``MGLegalizer.place`` costs one attribute read.
     recording: ClassVar[bool] = True
 
     def __init__(

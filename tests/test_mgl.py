@@ -50,7 +50,16 @@ class TestRun:
         assert legalizer.stats["cells_placed"] == small_design.num_cells
         assert legalizer.stats["insertions_evaluated"] > 0
 
-    def test_overfull_fence_raises(self, basic_tech):
+    @pytest.mark.parametrize(
+        "path",
+        [
+            dict(scheduler_capacity=1),
+            dict(scheduler_capacity=4),
+            dict(shards=2),
+        ],
+        ids=["capacity1", "capacity4", "shards2"],
+    )
+    def test_overfull_fence_raises(self, basic_tech, path):
         from repro.model.fence import FenceRegion
         from repro.model.geometry import Rect
 
@@ -60,8 +69,9 @@ class TestRun:
             design.add_cell(
                 f"c{index}", basic_tech.type_named("S2"), 1, 0, fence_id=1
             )
-        with pytest.raises(LegalizationError):
-            MGLegalizer(design, no_routability()).run()
+        params = LegalizerParams(routability=False, **path)
+        with pytest.raises(LegalizationError, match="'c2'.*fence 1"):
+            MGLegalizer(design, params).run()
 
 
 class TestWindow:

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.metrics and the PerfRecorder shim over it."""
+"""Tests for repro.obs.metrics."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_prometheus,
 )
-from repro.perf import PerfRecorder
 
 
 class TestHistogram:
@@ -98,35 +97,6 @@ class TestMetricsRegistry:
             "timings", "stage_calls", "counters", "gauges", "histograms"
         }
         assert payload["gauges"]["g"] == 1.234568  # rounded for stability
-
-
-class TestPerfRecorderShim:
-    def test_legacy_views_are_live(self):
-        recorder = PerfRecorder()
-        recorder.count("evals", 3)
-        recorder.registry.count("evals", 2)
-        assert recorder.counters == {"evals": 5}
-        recorder.record("mgl", 0.25)
-        assert recorder.registry.timings == {"mgl": 0.25}
-        assert recorder.stage_calls == {"mgl": 1}
-
-    def test_shared_registry_injection(self):
-        registry = MetricsRegistry()
-        recorder = PerfRecorder(registry)
-        recorder.count("x")
-        assert registry.counters == {"x": 1}
-
-    def test_stage_times_the_block(self):
-        recorder = PerfRecorder()
-        with recorder.stage("work"):
-            sum(range(1000))
-        assert recorder.timings["work"] >= 0.0
-        assert recorder.stage_calls["work"] == 1
-
-    def test_merge_counters_with_prefix(self):
-        recorder = PerfRecorder()
-        recorder.merge_counters({"hits": 3, "misses": 1}, prefix="mgl.")
-        assert recorder.counters == {"mgl.hits": 3, "mgl.misses": 1}
 
 
 class TestPrometheusRendering:

@@ -141,3 +141,48 @@ class TestObservationalNeutrality:
             and event["placed"] == event["total"]
         ]
         assert finals and finals[-1]["total"] == small_design.num_cells
+
+
+def milestones(events):
+    """Phase names and heartbeat kinds, in emission order."""
+    return [
+        event["phase"] if event["event"] == "phase" else event["kind"]
+        for event in events
+        if event["event"] in ("phase", "heartbeat")
+    ]
+
+
+class TestParallelPathEvents:
+    def test_scheduler_path_phases(self, small_design):
+        emitter, events = collecting_emitter()
+        legalize(
+            small_design,
+            LegalizerParams(routability=False, scheduler_capacity=16),
+            progress=emitter,
+        )
+        assert milestones(events) == [
+            "mgl", "mgl_scheduler", "matching", "flow_opt", "done",
+        ]
+        cells = [event for event in events if event["event"] == "cells"]
+        assert cells[-1]["placed"] == cells[-1]["total"]
+        assert cells[-1]["total"] == small_design.num_cells
+
+    def test_sharded_path_phases(self, small_design):
+        emitter, events = collecting_emitter()
+        result = legalize(
+            small_design,
+            LegalizerParams(routability=False, shards=2),
+            progress=emitter,
+        )
+        bands = result.shard_topology["shards"]
+        assert bands == 2
+        marks = milestones(events)
+        assert marks[:2] == ["mgl", "shard_interiors"]
+        assert marks[2:2 + bands] == ["shard"] * bands
+        assert marks[2 + bands] == "reconcile"
+        assert marks[-1] == "done"
+        heartbeats = [
+            event["shard"] for event in events
+            if event["event"] == "heartbeat"
+        ]
+        assert heartbeats == list(range(bands))

@@ -178,13 +178,16 @@ class TestFailureFallbacks:
 
     def test_retired_worker_counted_in_metrics_registry(self, small_design):
         """Worker retirement must be visible in scheduler.worker_retired."""
-        from repro.perf import PerfRecorder
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.observer import Observer
 
-        recorder = PerfRecorder()
+        registry = MetricsRegistry()
         params = LegalizerParams(
             routability=False, scheduler_capacity=8, scheduler_workers=2
         )
-        legalizer = MGLegalizer(small_design, params, recorder=recorder)
+        legalizer = MGLegalizer(
+            small_design, params, observer=Observer(metrics=registry)
+        )
         placement = Placement(small_design)
         occupancy = Occupancy(small_design, placement)
         scheduler = WindowScheduler(legalizer, occupancy)
@@ -206,7 +209,7 @@ class TestFailureFallbacks:
             ParallelEvaluator.evaluate_batch = original_evaluate
 
         assert killed, "no multi-cell batch was ever formed"
-        retired = recorder.registry.counters.get("scheduler.worker_retired", 0)
+        retired = registry.counters.get("scheduler.worker_retired", 0)
         assert retired >= 1
         assert retired == legalizer.stats["parallel_worker_failures"]
 

@@ -12,10 +12,9 @@ their reference forms.  These tests pin that contract:
 * ``CurveSet.value`` / ``minimize`` vs the reference
   :meth:`DisplacementCurve.value` walk and
   :func:`minimize_over_sites` — equal to the last bit;
-* the :class:`repro.perf.PerfRecorder` bookkeeping itself.
+* the stage timings and counters a full-flow run records.
 """
 
-import json
 import random
 from typing import List, Optional, Tuple
 
@@ -35,7 +34,7 @@ from repro.model.design import Design
 from repro.model.fence import FenceRegion
 from repro.model.geometry import Rect
 from repro.model.technology import CellType, Technology
-from repro.perf import PerfRecorder
+from repro.obs.metrics import MetricsRegistry
 
 
 def build_design(seed: int, density: float, with_fence: bool) -> Design:
@@ -210,40 +209,17 @@ def small_design() -> Design:
 
 
 class TestPerfRecorder:
-    def test_stage_and_counters(self):
-        recorder = PerfRecorder()
-        with recorder.stage("mgl"):
-            pass
-        with recorder.stage("mgl"):
-            pass
-        recorder.record("flow_opt", 0.25)
-        recorder.count("evals", 3)
-        recorder.merge_counters({"hits": 2, "evals": 1}, prefix="mgl.")
-        assert recorder.stage_calls["mgl"] == 2
-        assert recorder.timings["flow_opt"] == 0.25
-        assert recorder.counters == {"evals": 3, "mgl.hits": 2, "mgl.evals": 1}
-
-    def test_json_roundtrip(self, tmp_path):
-        recorder = PerfRecorder()
-        recorder.record("mgl", 1.5)
-        recorder.count("mgl.insertions_evaluated", 3)
-        path = tmp_path / "perf.json"
-        recorder.write_json(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["timings"]["mgl"] == 1.5
-        assert payload["counters"]["mgl.insertions_evaluated"] == 3
-        summary = recorder.summary()
-        assert "mgl" in summary
-        assert "mgl.insertions_evaluated" in summary
-
     def test_legalizer_records_stages(self):
         design = small_design()
         from repro import legalize
 
-        recorder = PerfRecorder()
+        registry = MetricsRegistry()
         result = legalize(
-            design, LegalizerParams(routability=False), recorder=recorder
+            design, LegalizerParams(routability=False), metrics=registry
         )
         assert result.placement is not None
-        assert set(recorder.timings) >= {"mgl", "matching", "flow_opt"}
-        assert recorder.counters["mgl.cells_placed"] == design.num_cells
+        assert set(registry.timings) >= {"mgl", "matching", "flow_opt"}
+        assert registry.counters["mgl.cells_placed"] == design.num_cells
+        # Each stage's one timing is also its StageMetrics.seconds.
+        assert registry.timings["mgl"] == result.after_mgl.seconds
+        assert registry.timings["flow_opt"] == result.after_flow.seconds

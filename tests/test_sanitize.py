@@ -268,7 +268,7 @@ def test_harness_is_placement_neutral_unperturbed(seed, ncells):
     """Attaching the sanitizer's tracer harness must not change the
     placement: hash-of-harness-run == hash-of-direct-run, always."""
     from repro.benchgen import SyntheticSpec, generate_design
-    from repro.core.mgl import MGLegalizer
+    from repro.core.legalizer import legalize
     from repro.core.params import LegalizerParams
     from repro.obs.manifest import placement_digest
     from repro.obs.tracer import SpanTracer
@@ -277,9 +277,12 @@ def test_harness_is_placement_neutral_unperturbed(seed, ncells):
         name=f"neutral-{seed}", cells_by_height={1: ncells},
         density=0.5, seed=seed,
     )
-    params = LegalizerParams(routability=False, scheduler_capacity=1)
-    harness = MGLegalizer(
-        generate_design(spec), params, tracer=SpanTracer()
-    ).run()
-    direct = MGLegalizer(generate_design(spec), params).run()
-    assert placement_digest(harness) == placement_digest(direct)
+    params = LegalizerParams(
+        routability=False, scheduler_capacity=1,
+        use_matching=False, use_flow_opt=False,
+    )
+    harness = legalize(generate_design(spec), params, tracer=SpanTracer())
+    direct = legalize(generate_design(spec), params)
+    assert placement_digest(harness.placement) == placement_digest(
+        direct.placement
+    )

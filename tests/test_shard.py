@@ -33,8 +33,9 @@ from repro.model.geometry import Rect
 from repro.model.placement import Placement
 from repro.model.technology import CellType, Technology
 from repro.obs.manifest import placement_digest
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 from repro.obs.tracer import SpanTracer
-from repro.perf import PerfRecorder
 
 
 def build_design(seed: int, density: float, with_fence: bool) -> Design:
@@ -223,7 +224,9 @@ class TestWorkerInvariance:
                 routability=False, shards=3, shard_halo_rows=2,
                 scheduler_workers=workers,
             )
-            run_sharded_mgl(small_design, params, tracer=tracer)
+            run_sharded_mgl(
+                small_design, params, observer=Observer(tracer=tracer)
+            )
             hashes.append(tracer.structure_hash())
             names = [span.name for span in tracer.roots]
             assert names == ["shard_mgl"]
@@ -314,30 +317,32 @@ class TestFailureFallbacks:
             raise RuntimeError("injected shard worker crash")
 
         monkeypatch.setattr(shard_mod, "shard_worker_main", crashing_worker)
-        recorder = PerfRecorder()
+        registry = MetricsRegistry()
         params = LegalizerParams(
             routability=False, shards=3, shard_halo_rows=2,
             scheduler_workers=2,
         )
-        run_sharded_mgl(small_design, params, recorder=recorder)
-        assert recorder.registry.counters["shard.worker_retired"] >= 1
+        run_sharded_mgl(
+            small_design, params, observer=Observer(metrics=registry)
+        )
+        assert registry.counters["shard.worker_retired"] >= 1
 
 
 class TestObservability:
     def test_metrics_and_topology_recorded(self, small_design):
-        recorder = PerfRecorder()
+        registry = MetricsRegistry()
         params = LegalizerParams(
             routability=False, shards=3, shard_halo_rows=2
         )
         _placement, legalizer = run_sharded_mgl(
-            small_design, params, recorder=recorder
+            small_design, params, observer=Observer(metrics=registry)
         )
-        counters = recorder.registry.counters
+        counters = registry.counters
         assert counters["shard.halo_relegalized"] == (
             legalizer.stats["shard_halo_cells"]
         )
         assert counters["shard.deferred"] == legalizer.stats["shard_deferred"]
-        histogram = recorder.registry.histogram("shard.occupancy")
+        histogram = registry.histogram("shard.occupancy")
         assert histogram.total == legalizer.stats["shard_count"]
         assert legalizer.shard_topology is not None
         assert legalizer.shard_topology.as_dict()["shards"] == 3

@@ -19,6 +19,7 @@ from repro.core.mgl import MGLegalizer
 from repro.core.params import LegalizerParams
 from repro.model.design import Design
 from repro.model.technology import CellType, Technology
+from repro.obs.observer import Observer
 from repro.obs.tracer import SpanTracer
 
 
@@ -56,7 +57,9 @@ def traced_mgl(design: Design, workers: int, capacity: int = 8):
         scheduler_workers=workers,
     )
     tracer = SpanTracer()
-    placement = MGLegalizer(design, params, tracer=tracer).run()
+    placement = MGLegalizer(
+        design, params, observer=Observer(tracer=tracer)
+    ).run()
     return tracer, (list(placement.x), list(placement.y))
 
 
@@ -108,7 +111,9 @@ class TestTracingDoesNotPerturb:
         params = LegalizerParams(routability=False, scheduler_capacity=8)
         untraced = MGLegalizer(small_design, params).run()
         tracer = SpanTracer()
-        traced = MGLegalizer(small_design, params, tracer=tracer).run()
+        traced = MGLegalizer(
+            small_design, params, observer=Observer(tracer=tracer)
+        ).run()
         assert traced.x == untraced.x and traced.y == untraced.y
         assert tracer.span_count() > 0
 

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.mgl import MGLegalizer, mgl_cell_order
 from repro.core.params import LegalizerParams
+from repro.obs.observer import Observer
 from repro.obs.tracer import SpanTracer
 from tests.test_trace_determinism import build_design, traced_mgl
 
@@ -35,7 +36,9 @@ def sampled_mgl(design, workers, sample_every, capacity=8):
         scheduler_workers=workers,
     )
     tracer = SpanTracer(sample_every=sample_every)
-    placement = MGLegalizer(design, params, tracer=tracer).run()
+    placement = MGLegalizer(
+        design, params, observer=Observer(tracer=tracer)
+    ).run()
     return tracer, (list(placement.x), list(placement.y))
 
 

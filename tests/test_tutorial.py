@@ -5,6 +5,8 @@ this test fails.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,25 @@ def test_eco_step(tutorial_state):
     outcome = eco.relegalize([7])
     assert eco.verify()
     assert outcome.placed == [7]
+
+
+def test_instrumentation_snippet_runs(tutorial_state, tmp_path,
+                                      monkeypatch, capsys):
+    """Run section 5's instrumentation block verbatim from TUTORIAL.md."""
+    design, _result = tutorial_state
+    text = (Path(__file__).parent.parent / "docs" / "TUTORIAL.md").read_text()
+    [snippet] = [
+        block for block in re.findall(r"```python\n(.*?)```", text, re.S)
+        if "render_metrics" in block
+    ]
+    monkeypatch.chdir(tmp_path)
+    namespace = {"design": design}
+    exec(compile(snippet, "TUTORIAL.md", "exec"), namespace)
+    assert (tmp_path / "run.trace.json").is_file()
+    assert check_legal(namespace["result"].placement).is_legal
+    out = capsys.readouterr().out
+    assert "timings" in out and "mgl" in out
+    assert "'phase': 'done'" in out
 
 
 def test_persistence(tutorial_state, tmp_path):
