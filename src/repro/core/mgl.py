@@ -21,12 +21,20 @@ from repro.model.design import Design
 from repro.model.geometry import Rect
 from repro.model.placement import Placement
 from repro.obs.clock import monotonic
-from repro.obs.metrics import BATCH_WIDTH_BUCKETS, EXPANSION_BUCKETS
+from repro.obs.metrics import EXPANSION_BUCKETS
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.tracer import Span, SpanPayload
 
 if TYPE_CHECKING:
     from repro.core.shard import ShardTopology
+
+
+#: Multiplicative window growth per failed insertion attempt.
+WINDOW_EXPAND = 1.6
+
+#: Window attempts before the final exhaustive chip-window search; a
+#: cell that fails that too means an over-full fence region.
+MAX_EXPANSIONS = 12
 
 
 class LegalizationError(Exception):
@@ -81,18 +89,12 @@ def height_weights(design: Design) -> Callable[[int], float]:
     return weight
 
 
-def mgl_cell_order(design: Design, params: LegalizerParams) -> List[int]:
+def mgl_cell_order(design: Design) -> List[int]:
     """Deterministic processing order of the movable cells.
 
-    The default places tall/large cells first (they have the fewest
-    feasible spots) and sweeps by GP x within equal footprints.
+    Tall/large cells go first (they have the fewest feasible spots),
+    swept by GP x within equal footprints.
     """
-    cells = design.movable_cells()
-    if params.seed_order == "input":
-        return cells
-    if params.seed_order == "gp_x":
-        return sorted(cells, key=lambda c: (design.gp_x[c], design.gp_y[c], c))
-    # "height_area_x"
     def key(cell: int) -> Tuple[int, int, float, float, int]:
         cell_type = design.cell_type_of(cell)
         return (
@@ -103,7 +105,21 @@ def mgl_cell_order(design: Design, params: LegalizerParams) -> List[int]:
             cell,
         )
 
-    return sorted(cells, key=key)
+    return sorted(design.movable_cells(), key=key)
+
+
+def fixed_cell_occupancy(design: Design, placement: Placement) -> Occupancy:
+    """A fresh occupancy holding the fixed cells, pinned at their GP spots.
+
+    The starting state of every MGL run: the serial loop, the
+    scheduler, the sharded parent and each shard interior.
+    """
+    occupancy = Occupancy(design, placement)
+    for cell in range(design.num_cells):
+        if design.cells[cell].fixed:
+            placement.move(cell, int(design.gp_x[cell]), int(design.gp_y[cell]))
+            occupancy.add(cell)
+    return occupancy
 
 
 def disp_so_far(occupancy: Occupancy) -> Callable[[], float]:
@@ -300,15 +316,9 @@ class MGLegalizer:
         on the vector backend — share the legalizer's SoA mirror, so row
         snapshots built for one window are reused by every later batch
         member touching the same rows.  Results are element-for-element
-        exactly ``evaluate_insert(occupancy, cell, window)``; the batch
-        width lands in the ``mgl.batch_width`` histogram, which the
-        capacity autotuner reads (see repro.obs.autotune).
+        exactly ``evaluate_insert(occupancy, cell, window)``.
         """
         soa = self.soa_for(occupancy)
-        if tasks:
-            self.observer.observe(
-                "mgl.batch_width", float(len(tasks)), BATCH_WIDTH_BUCKETS
-            )
         return [
             self.evaluate_insert(
                 occupancy, cell, window,
@@ -448,8 +458,8 @@ class MGLegalizer:
                 f"placed; fence {self.design.fence_of(cell)} appears over-full"
             )
         self.place(
-            occupancy, span, cell, chip, self.params.max_expansions,
-            insertion, exhaustive=True,
+            occupancy, span, cell, chip, MAX_EXPANSIONS, insertion,
+            exhaustive=True,
         )
         return insertion
 
@@ -483,7 +493,7 @@ class MGLegalizer:
         """
         scale = 1.0
         with self.observer.tracer.cell_span("window", cell) as span:
-            for attempt in range(self.params.max_expansions):
+            for attempt in range(MAX_EXPANSIONS):
                 window = self.initial_window(cell, scale)
                 insertion = self.traced_evaluate(occupancy, cell, window)
                 if insertion is not None:
@@ -492,7 +502,7 @@ class MGLegalizer:
                     )
                     return insertion
                 self.stats["window_expansions"] += 1
-                scale *= self.params.window_expand
+                scale *= WINDOW_EXPAND
             return self.place_exhaustive(occupancy, span, cell)
 
     def run(self, placement: Optional[Placement] = None) -> Placement:
@@ -505,16 +515,12 @@ class MGLegalizer:
         design = self.design
         if placement is None:
             placement = Placement(design)
-        occupancy = Occupancy(design, placement)
-        for cell in range(design.num_cells):
-            if design.cells[cell].fixed:
-                placement.move(cell, int(design.gp_x[cell]), int(design.gp_y[cell]))
-                occupancy.add(cell)
+        occupancy = fixed_cell_occupancy(design, placement)
         # Register the fixed cell order with the tracer's sampling
         # policy before any per-cell span opens; the sampled set is a
         # pure function of this order, never of the execution path
         # (serial / scheduler / sharded) chosen below.
-        order = mgl_cell_order(design, self.params)
+        order = mgl_cell_order(design)
         self.observer.tracer.set_cell_population(order)
         if self.params.shards > 1:
             from repro.core.shard import run_sharded

@@ -1,35 +1,42 @@
-"""Process-based parallel evaluation backend for the MGL scheduler (§3.5).
+"""Worker processes for MGL's two parallel paths (§3.5).
 
-Python threads cannot speed up the scheduler's evaluation phase — the
-GIL serializes them — so this module fans batches out to a persistent
-pool of **worker processes** instead.  The design preserves the paper's
-determinism guarantee exactly:
+Python threads cannot speed MGL up — the GIL serializes them — so both
+parallel paths run on worker **processes**, through one
+:class:`WorkerPool`.  The pool owns the start method, spawning, the
+``("init", ...)`` handshake, striping items over the live workers with
+exactly one ``("work", share)`` message and one
+``("results", results, busy_seconds)`` reply per worker and round,
+retirement, and shutdown.  It has two users, each with its own worker
+entry point:
 
-* Every worker holds a read-only copy of the :class:`~repro.model.design.Design`
-  and rebuilds the same :class:`~repro.core.mgl.MGLegalizer` evaluation
+* :class:`ParallelEvaluator` evaluates the window scheduler's batches
+  (:mod:`repro.core.scheduler`) with :func:`worker_main`.  Every worker
+  rebuilds the same :class:`~repro.core.mgl.MGLegalizer` evaluation
   state (routability guard, height weights) from
-  ``(design, params, reference)``; all of these are pure functions of
-  the design and parameters.
-* Workers mirror the scheduler's :class:`~repro.core.occupancy.Occupancy`
-  and are kept in sync with compact per-batch **deltas** — the journal
-  of ``add``/``update_x``/``remove`` ops recorded by the occupancy since
-  the worker's last batch — instead of full snapshots.  Each shipped
-  task is tagged with the parent's :meth:`Occupancy.row_version` for
-  every row its window spans; the worker verifies its mirrored versions
-  match (modulo a fixed offset captured at spawn) before evaluating, so
-  a protocol bug fails loudly instead of silently diverging.
-* Workers only ever run the *pure* :meth:`MGLegalizer.evaluate_insert`
-  against their mirror; results (:class:`EvaluatedInsertion`) flow back
-  to the parent, which applies them **serially in selection order** with
-  the scheduler's usual conflict re-check.  The placement is therefore a
-  pure function of the batch order — bit-identical to the in-process
-  path for any worker count, including zero.
+  ``(design, params, reference)`` and mirrors the scheduler's
+  :class:`~repro.core.occupancy.Occupancy`, kept in sync with compact
+  per-batch **deltas** — the journal of ``add``/``update_x``/``remove``
+  ops recorded since the worker's last batch — instead of full
+  snapshots.  Each task is tagged with the parent's
+  :meth:`Occupancy.row_version` for every row its window spans; the
+  worker verifies its mirrored versions match (modulo a fixed offset
+  captured at spawn) before evaluating, so a protocol bug fails loudly
+  instead of silently diverging.  Workers only ever run the *pure*
+  :meth:`MGLegalizer.evaluate_insert`; the scheduler applies the
+  results **serially in selection order** with its usual conflict
+  re-check.
+* :func:`repro.core.shard.run_sharded` legalizes fresh shard interiors
+  with :func:`repro.core.shard.shard_worker_main`.
 
-Failure policy: a worker that cannot be spawned, crashes, hangs past
-:data:`WORKER_TIMEOUT`, or chokes on (un)pickling is retired and its
-share of the batch is re-evaluated in-process, so no cell is ever lost
-to a parallel-infrastructure failure; when every worker has been
-retired the scheduler simply continues on the serial path.
+Either way a worker computes exactly what the parent would compute in
+process, so the placement is bit-identical for any worker count,
+including zero.
+
+Failure policy: a worker that cannot be spawned (or finds no start
+method at all), crashes, hangs past :data:`WORKER_TIMEOUT`, or is handed
+a share that cannot be pickled is retired.  The items it held come back
+as None from :meth:`WorkerPool.run`, and the caller computes them in
+process, so no cell is ever lost to a parallel-infrastructure failure.
 """
 
 from __future__ import annotations
@@ -39,7 +46,9 @@ import multiprocessing
 import pickle
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, List, Optional, Sequence, Tuple, TypeVar, TYPE_CHECKING,
+)
 
 from repro.core.insertion import EvaluatedInsertion
 from repro.core.occupancy import DeltaOp, Occupancy
@@ -54,24 +63,26 @@ if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
     from repro.core.mgl import MGLegalizer
+    from repro.core.scheduler import EvalOutcome
 
-#: Seconds the parent waits for one worker's batch results (or its spawn
-#: handshake) before retiring it and re-evaluating in-process.  Generous:
-#: a batch share is at most ``scheduler_capacity`` window evaluations.
+#: Seconds the parent waits for one worker's reply (its init handshake
+#: or one round's results) before retiring it.  Generous: a share is at
+#: most ``scheduler_capacity`` window evaluations or a few shard
+#: interiors.
 WORKER_TIMEOUT = 300.0
 
-#: One evaluation request: (slot in the batch, cell, window, row tags).
-#: The tags are ``(row, parent_row_version)`` pairs covering every row
-#: the window spans — the exact occupancy state the evaluation reads.
-TaskSpec = Tuple[int, int, Rect, Tuple[Tuple[int, int], ...]]
+#: One evaluation request: (cell, window, row tags).  The tags are
+#: ``(row, parent_row_version)`` pairs covering every row the window
+#: spans — the exact occupancy state the evaluation reads.
+TaskSpec = Tuple[int, Rect, Tuple[Tuple[int, int], ...]]
 
-#: One evaluation response: (slot, best insertion or None, points
-#: evaluated, ``evaluate`` span payload or None).  The payload — built by
+#: One evaluation response: (best insertion or None, points evaluated,
+#: ``evaluate`` span payload or None).  The payload — built by
 #: :func:`repro.core.mgl.evaluation_span_payload`, a pure function of the
-#: task — is only populated when the batch message asked for spans.
-ResultSpec = Tuple[
-    int, Optional[EvaluatedInsertion], int, Optional[SpanPayload]
-]
+#: task — is only populated when the work message asked for spans.
+ResultSpec = Tuple[Optional[EvaluatedInsertion], int, Optional[SpanPayload]]
+
+Item = TypeVar("Item")
 
 
 class ParallelUnavailable(RuntimeError):
@@ -110,17 +121,19 @@ def _apply_ops(
 
 
 def worker_main(conn: Connection) -> None:
-    """Entry point of one evaluation worker process.
+    """Entry point of one window-evaluation worker process.
 
-    Protocol (all messages are tuples; the first element is the tag):
+    Protocol (see :class:`WorkerPool`):
 
     * receive ``("init", design, params, reference, placed, versions)``
       once — build the legalizer and the occupancy mirror, reply
       ``("ready",)``;
-    * then repeatedly receive ``("batch", ops_blob, tasks, want_spans)``
-      — apply the pickled journal slice, verify row-version tags,
-      evaluate every task (building ``evaluate`` span payloads when
-      ``want_spans``), reply ``("results", results, busy_seconds)``;
+    * then repeatedly receive
+      ``("work", (index, ops_blob, tasks, want_spans))`` — apply the
+      pickled journal slice, verify row-version tags, evaluate every
+      task (building ``evaluate`` span payloads, stamped with this
+      worker's ``index``, when ``want_spans``), reply
+      ``("results", results, busy_seconds)``;
     * ``("stop",)`` ends the loop.
 
     Any exception is reported as ``("error", message)`` and kills the
@@ -160,13 +173,13 @@ def worker_main(conn: Connection) -> None:
             message = conn.recv()
             if message[0] == "stop":
                 break
-            if message[0] != "batch":  # pragma: no cover - protocol guard
-                raise RuntimeError(f"expected batch, got {message[0]!r}")
-            _tag, ops_blob, tasks, want_spans = message
+            if message[0] != "work":  # pragma: no cover - protocol guard
+                raise RuntimeError(f"expected work, got {message[0]!r}")
+            index, ops_blob, tasks, want_spans = message[1]
             _apply_ops(occupancy, placement, pickle.loads(ops_blob))
             results: List[ResultSpec] = []
             busy_start = monotonic()
-            for slot, cell, window, row_tags in tasks:
+            for cell, window, row_tags in tasks:
                 for row, version in row_tags:
                     mirrored = occupancy.row_version(row) + offsets[row]
                     if mirrored != version:
@@ -180,7 +193,8 @@ def worker_main(conn: Connection) -> None:
                 )
                 payload = (
                     evaluation_span_payload(
-                        points, best, duration=monotonic() - eval_start
+                        points, best,
+                        duration=monotonic() - eval_start, worker=index,
                     )
                     if want_spans
                     else None
@@ -192,7 +206,7 @@ def worker_main(conn: Connection) -> None:
                     best = EvaluatedInsertion(
                         x=best.x, y=best.y, cost=best.cost, moves=best.moves
                     )
-                results.append((slot, best, points, payload))
+                results.append((best, points, payload))
             conn.send(("results", results, monotonic() - busy_start))
     except EOFError:
         pass  # Parent went away; nothing to report to.
@@ -210,6 +224,28 @@ def worker_main(conn: Connection) -> None:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PoolNames:
+    """Where one pool user records its workers."""
+
+    #: Stats key counting workers lost at spawn, handshake or work.
+    failures: str
+    #: Stats key counting workers that completed the handshake.
+    spawned: str
+    #: Metrics counter of workers retired after they were started.
+    retired: str
+    #: Prefix of the per-worker busy timers (``<busy><index>``).
+    busy: str
+
+
+SCHEDULER_POOL = PoolNames(
+    failures="parallel_worker_failures",
+    spawned="scheduler_workers_spawned",
+    retired="scheduler.worker_retired",
+    busy="parallel.worker",
+)
+
+
 @dataclass
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
@@ -217,211 +253,120 @@ class _Worker:
     index: int
     process: "BaseProcess"
     conn: Connection
-    #: Absolute journal position this worker's mirror has applied.
-    position: int = 0
     alive: bool = True
 
 
-class ParallelEvaluator:
-    """Persistent process pool evaluating scheduler batches.
+class WorkerPool:
+    """Persistent worker processes, each taking one share per round.
 
-    Spawned once per :meth:`WindowScheduler.run`; attach/detach happens
-    in :meth:`__init__`/:meth:`close`.  The occupancy journal is hooked
-    on construction so every subsequent mutation (the apply phase
-    between batches) lands in the delta stream automatically.
+    Every worker runs ``target(conn)``, receives ``("init", *init)``
+    and must answer ``("ready",)``; :meth:`run` then sends it
+    ``("work", share)`` and expects ``("results", results,
+    busy_seconds)`` with one result per share item, in order, and
+    :meth:`close` sends ``("stop",)``.  A worker may answer
+    ``("error", message)`` instead; the pool retires it.
 
     Args:
-        legalizer: the scheduler's legalizer (provides params, stats,
-            the in-process fallback evaluation, and the observer that
-            receives per-worker busy timers and retirement counts).
-        occupancy: the live occupancy the scheduler mutates.
-        num_workers: processes to spawn (>= 1).
-
-    Raises:
-        ParallelUnavailable: when no worker survives the spawn
-            handshake; the caller should continue on the serial path.
+        target: the worker entry point, looked up by the caller when the
+            pool is built (tests and the sanitizer replace it by name).
+        init: the payload of the init message.
+        num_workers: processes to spawn.
+        legalizer: its ``stats`` and ``observer`` record the workers.
+        names: the stats keys and metric names those records use.
     """
 
     def __init__(
         self,
-        legalizer: "MGLegalizer",
-        occupancy: Occupancy,
+        target: Callable[[Connection], None],
+        init: Tuple[Any, ...],
         num_workers: int,
-        timeout: float = WORKER_TIMEOUT,
+        legalizer: "MGLegalizer",
+        names: PoolNames,
     ):
-        self.legalizer = legalizer
-        self.occupancy = occupancy
-        self.timeout = timeout
-        self._journal: List[DeltaOp] = []
-        self._base = 0  # Absolute journal position of self._journal[0].
+        self.names = names
+        self.stats = legalizer.stats
+        self.observer = legalizer.observer
         self.workers: List[_Worker] = []
-        stats = legalizer.stats
-        for key in (
-            "parallel_batches",
-            "parallel_tasks",
-            "parallel_fallbacks",
-            "parallel_delta_ops",
-            "parallel_delta_bytes",
-            "parallel_worker_failures",
-            "scheduler_workers_spawned",
-        ):
-            stats.setdefault(key, 0)
-
-        design = legalizer.design
-        placement = occupancy.placement
-        placed = sorted(occupancy.placed_cells)
-        init_message = (
-            "init",
-            design,
-            legalizer.params,
-            legalizer.reference,
-            [(cell, placement.x[cell], placement.y[cell]) for cell in placed],
-            [occupancy.row_version(row) for row in range(design.num_rows)],
-        )
-        context = _pick_context()
+        self.stats.setdefault(names.failures, 0)
+        self.stats.setdefault(names.spawned, 0)
+        try:
+            context = _pick_context()
+        except Exception:  # noqa: BLE001 - no start method: no workers
+            self.stats[names.failures] += num_workers
+            return
         for index in range(num_workers):
             try:
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
-                    target=worker_main, args=(child_conn,), daemon=True
+                    target=target, args=(child_conn,), daemon=True
                 )
                 process.start()
                 child_conn.close()
-                parent_conn.send(init_message)
+                parent_conn.send(("init", *init))
                 self.workers.append(_Worker(index, process, parent_conn))
             except Exception:  # noqa: BLE001 - spawn failure => fewer workers
-                stats["parallel_worker_failures"] += 1
+                self.stats[names.failures] += 1
         # Handshake: a worker that cannot init (or hangs) is retired now.
         for worker in self.workers:
             try:
-                if not worker.conn.poll(self.timeout):
-                    raise TimeoutError("worker init handshake timed out")
-                reply = worker.conn.recv()
+                reply = self._receive(worker)
                 if reply[0] != "ready":
                     raise RuntimeError(f"worker init failed: {reply!r}")
             except Exception:  # noqa: BLE001
                 self._retire(worker)
-        if not any(worker.alive for worker in self.workers):
-            self.close()
-            raise ParallelUnavailable(
-                f"none of {num_workers} evaluation workers came up"
-            )
-        stats["scheduler_workers_spawned"] += sum(
-            1 for worker in self.workers if worker.alive
-        )
-        occupancy.set_journal(self._journal)
-
-    # ------------------------------------------------------------------
+        self.stats[names.spawned] += len(self.alive)
 
     @property
-    def active(self) -> bool:
-        """Whether at least one worker can still take work."""
-        return any(worker.alive for worker in self.workers)
+    def alive(self) -> List[_Worker]:
+        """The workers that can still take work."""
+        return [worker for worker in self.workers if worker.alive]
 
-    def evaluate_batch(
+    def run(
         self,
-        batch: Sequence[Tuple[int, float, int, Rect]],
-        want_payloads: bool = False,
-    ) -> List[Tuple[Optional[EvaluatedInsertion], Optional[SpanPayload]]]:
-        """Evaluate one scheduler batch on the pool.
+        items: Sequence[Item],
+        share: Optional[Callable[[int, List[Item]], Any]] = None,
+    ) -> List[Any]:
+        """One round: every live worker computes its stripe of ``items``.
 
-        Tasks are striped over the live workers; each worker receives
-        exactly one message (its journal delta plus its task share) and
-        sends exactly one reply.  Shares of workers that fail at any
-        point are evaluated in-process against the live occupancy —
-        which still holds the batch-start state, so results are
-        identical.  The returned list is aligned with ``batch``; each
-        entry pairs the insertion with its ``evaluate`` span payload
-        when ``want_payloads`` (None otherwise).  Fallback evaluations
-        build the identical payload in-process, so worker failures never
-        change the trace structure.
+        Item ``i`` goes to live worker ``i mod n``; ``share(index,
+        stripe)`` builds the payload of that worker's one work message
+        (the stripe itself when ``share`` is None).  Returns the results
+        aligned with ``items``, with None for every item whose worker
+        failed at any point of the round — the caller computes those in
+        process.
         """
-        from repro.core.mgl import evaluation_span_payload
-
-        legalizer = self.legalizer
-        stats = legalizer.stats
-        results: List[
-            Tuple[Optional[EvaluatedInsertion], Optional[SpanPayload]]
-        ] = [(None, None)] * len(batch)
-        alive = [worker for worker in self.workers if worker.alive]
-        fallback: List[TaskSpec] = []
-        if alive:
-            shares: Dict[int, List[TaskSpec]] = {
-                worker.index: [] for worker in alive
-            }
-            for slot, (cell, _scale, _attempts, window) in enumerate(batch):
-                task: TaskSpec = (slot, cell, window, self._row_tags(window))
-                shares[alive[slot % len(alive)].index].append(task)
-            journal_end = self._base + len(self._journal)
-            pending: List[Tuple[_Worker, List[TaskSpec]]] = []
-            by_index = {worker.index: worker for worker in self.workers}
-            for index, tasks in shares.items():
-                if not tasks:
-                    continue
-                worker = by_index[index]
-                ops = self._journal[worker.position - self._base :]
-                try:
-                    blob = pickle.dumps(ops, protocol=pickle.HIGHEST_PROTOCOL)
-                    worker.conn.send(("batch", blob, tasks, want_payloads))
-                except Exception:  # noqa: BLE001 - retire, evaluate locally
-                    self._retire(worker)
-                    fallback.extend(tasks)
-                    continue
-                worker.position = journal_end
-                stats["parallel_delta_ops"] += len(ops)
-                stats["parallel_delta_bytes"] += len(blob)
-                stats["parallel_tasks"] += len(tasks)
-                pending.append((worker, tasks))
-            for worker, tasks in pending:
-                try:
-                    if not worker.conn.poll(self.timeout):
-                        raise TimeoutError("worker batch reply timed out")
-                    reply = worker.conn.recv()
-                    if reply[0] != "results":
-                        raise RuntimeError(f"worker reported: {reply!r}")
-                    _tag, worker_results, busy_seconds = reply
-                    legalizer.observer.record_time(
-                        f"parallel.worker{worker.index}", busy_seconds
-                    )
-                    for slot, best, points, payload in worker_results:
-                        if payload is not None:
-                            # Which worker ran it is non-structural meta.
-                            payload["worker"] = worker.index
-                        results[slot] = (best, payload)
-                        stats["insertions_evaluated"] += points
-                except Exception:  # noqa: BLE001 - retire, evaluate locally
-                    self._retire(worker)
-                    fallback.extend(tasks)
-            stats["parallel_batches"] += 1
-            self._compact()
-        else:
-            fallback = [
-                (slot, cell, window, ())
-                for slot, (cell, _scale, _attempts, window) in enumerate(batch)
-            ]
-        for slot, cell, window, _tags in fallback:
-            # In-process re-evaluation: the live occupancy still holds
-            # the batch-start state (applies happen after evaluation),
-            # so this is the exact computation the worker would have
-            # produced — including the span payload, whose structural
-            # attrs are a pure function of the task.
-            stats["parallel_fallbacks"] += 1
-            if want_payloads:
-                best, points = legalizer.evaluate_and_count(
-                    self.occupancy, cell, window
+        results: List[Any] = [None] * len(items)
+        alive = self.alive
+        pending: List[Tuple[_Worker, range]] = []
+        for position, worker in enumerate(alive):
+            slots = range(position, len(items), len(alive))
+            if not slots:
+                continue
+            stripe = [items[slot] for slot in slots]
+            try:
+                payload = stripe if share is None else share(worker.index, stripe)
+                worker.conn.send(("work", payload))
+            except Exception:  # noqa: BLE001 - retire, caller recomputes
+                self._retire(worker)
+                continue
+            pending.append((worker, slots))
+        for worker, slots in pending:
+            try:
+                reply = self._receive(worker)
+                if reply[0] != "results":
+                    raise RuntimeError(f"worker reported: {reply!r}")
+                _tag, worker_results, busy_seconds = reply
+                self.observer.record_time(
+                    f"{self.names.busy}{worker.index}", busy_seconds
                 )
-                results[slot] = (
-                    best, evaluation_span_payload(points, best)
-                )
-            else:
-                results[slot] = (
-                    legalizer.try_insert(self.occupancy, cell, window), None
-                )
+                for slot, result in zip(slots, worker_results):
+                    results[slot] = result
+            except Exception:  # noqa: BLE001 - retire, caller recomputes
+                self._retire(worker)
         return results
 
     def close(self) -> None:
-        """Detach the journal and shut the pool down."""
-        self.occupancy.set_journal(None)
+        """Stop every live worker and reap all processes (idempotent)."""
         for worker in self.workers:
             if worker.alive:
                 try:
@@ -436,6 +381,145 @@ class ParallelEvaluator:
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
 
+    def _receive(self, worker: _Worker) -> Any:
+        if not worker.conn.poll(WORKER_TIMEOUT):
+            raise TimeoutError(f"worker {worker.index} timed out")
+        return worker.conn.recv()
+
+    def _retire(self, worker: _Worker) -> None:
+        """Permanently remove a failed worker from the rotation."""
+        if not worker.alive:
+            return
+        worker.alive = False
+        self.stats[self.names.failures] += 1
+        # The in-process recompute makes retirement invisible in the
+        # placement, so surface it in the metrics registry explicitly.
+        self.observer.count(self.names.retired)
+        try:
+            worker.conn.close()
+        except OSError:  # pragma: no cover
+            pass
+        if worker.process.is_alive():
+            worker.process.terminate()
+
+
+class ParallelEvaluator:
+    """The scheduler's :class:`WorkerPool`, plus the occupancy journal.
+
+    Spawned once per :meth:`WindowScheduler.run`; attach/detach happens
+    in :meth:`__init__`/:meth:`close`.  The occupancy journal is hooked
+    on construction so every subsequent mutation (the apply phase
+    between batches) lands in the delta stream automatically.
+
+    Args:
+        legalizer: the scheduler's legalizer (provides params, stats,
+            and the observer that receives per-worker busy timers and
+            retirement counts).
+        occupancy: the live occupancy the scheduler mutates.
+        num_workers: processes to spawn (>= 1).
+
+    Raises:
+        ParallelUnavailable: when no worker survives the spawn
+            handshake; the caller should continue on the serial path.
+    """
+
+    def __init__(
+        self, legalizer: "MGLegalizer", occupancy: Occupancy, num_workers: int
+    ):
+        self.legalizer = legalizer
+        self.occupancy = occupancy
+        self._journal: List[DeltaOp] = []
+        self._base = 0  # Absolute journal position of self._journal[0].
+        #: Absolute journal position each worker's mirror has applied.
+        self._positions = [0] * num_workers
+        stats = legalizer.stats
+        for key in (
+            "parallel_batches",
+            "parallel_tasks",
+            "parallel_fallbacks",
+            "parallel_delta_ops",
+            "parallel_delta_bytes",
+        ):
+            stats.setdefault(key, 0)
+
+        design = legalizer.design
+        placement = occupancy.placement
+        placed = sorted(occupancy.placed_cells)
+        self.pool = WorkerPool(
+            worker_main,
+            (
+                design,
+                legalizer.params,
+                legalizer.reference,
+                [(cell, placement.x[cell], placement.y[cell]) for cell in placed],
+                [occupancy.row_version(row) for row in range(design.num_rows)],
+            ),
+            num_workers,
+            legalizer,
+            SCHEDULER_POOL,
+        )
+        if not self.pool.alive:
+            self.pool.close()
+            raise ParallelUnavailable(
+                f"none of {num_workers} evaluation workers came up"
+            )
+        occupancy.set_journal(self._journal)
+
+    @property
+    def active(self) -> bool:
+        """Whether at least one worker can still take work."""
+        return bool(self.pool.alive)
+
+    def evaluate_batch(
+        self,
+        batch: Sequence[Tuple[int, float, int, Rect]],
+        want_payloads: bool = False,
+    ) -> List[Optional[EvalOutcome]]:
+        """Evaluate one scheduler batch on the pool.
+
+        Returns one ``(insertion, payload)`` pair per batch member (the
+        payload only when ``want_payloads``), or None for each member
+        whose worker failed; the scheduler evaluates those in process
+        against the live occupancy, which still holds the batch-start
+        state.
+        """
+        stats = self.legalizer.stats
+        journal_end = self._base + len(self._journal)
+
+        def share(
+            index: int, tasks: List[TaskSpec]
+        ) -> Tuple[int, bytes, List[TaskSpec], bool]:
+            # Each worker gets the journal suffix its mirror has not
+            # replayed yet.
+            ops = self._journal[self._positions[index] - self._base :]
+            blob = pickle.dumps(ops, protocol=pickle.HIGHEST_PROTOCOL)
+            self._positions[index] = journal_end
+            stats["parallel_delta_ops"] += len(ops)
+            stats["parallel_delta_bytes"] += len(blob)
+            return index, blob, tasks, want_payloads
+
+        tasks: List[TaskSpec] = [
+            (cell, window, self._row_tags(window))
+            for cell, _scale, _attempts, window in batch
+        ]
+        outcomes: List[Optional[EvalOutcome]] = [None] * len(batch)
+        for slot, result in enumerate(self.pool.run(tasks, share)):
+            if result is not None:
+                best, points, payload = result
+                stats["insertions_evaluated"] += points
+                outcomes[slot] = (best, payload)
+        lost = outcomes.count(None)
+        stats["parallel_batches"] += 1
+        stats["parallel_tasks"] += len(outcomes) - lost
+        stats["parallel_fallbacks"] += lost
+        self._compact()
+        return outcomes
+
+    def close(self) -> None:
+        """Detach the journal and shut the pool down."""
+        self.occupancy.set_journal(None)
+        self.pool.close()
+
     # ------------------------------------------------------------------
 
     def _row_tags(self, window: Rect) -> Tuple[Tuple[int, int], ...]:
@@ -447,26 +531,10 @@ class ParallelEvaluator:
             (row, occupancy.row_version(row)) for row in range(lo, hi)
         )
 
-    def _retire(self, worker: _Worker) -> None:
-        """Permanently remove a failed worker from the rotation."""
-        if not worker.alive:
-            return
-        worker.alive = False
-        self.legalizer.stats["parallel_worker_failures"] += 1
-        # The in-process fallback makes retirement invisible in the
-        # placement, so surface it in the metrics registry explicitly.
-        self.legalizer.observer.count("scheduler.worker_retired")
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-
     def _compact(self) -> None:
         """Drop journal prefix every live worker has already applied."""
         alive_positions = [
-            worker.position for worker in self.workers if worker.alive
+            self._positions[worker.index] for worker in self.pool.alive
         ]
         if not alive_positions:
             return

@@ -1,10 +1,12 @@
 """Tunable parameters of the legalization flow.
 
 All knobs referenced in the paper are collected here so benchmarks and
-ablations can sweep them: the MGL window geometry and expansion policy
-(§3.1), the matching threshold ``delta_0`` of Eq. 3 (§3.2), the
-max-vs-average weight ``n_0`` of Eq. 8 (§3.3.1), routability penalties
-(§3.4), and the scheduler's batch capacity (§3.5).
+ablations can sweep them: the initial MGL window (§3.1; its expansion
+policy is fixed by ``repro.core.mgl.WINDOW_EXPAND`` and
+``MAX_EXPANSIONS``), the matching threshold ``delta_0`` of Eq. 3
+(§3.2), the max-vs-average weight ``n_0`` of Eq. 8 (§3.3.1),
+routability penalties (§3.4), and the scheduler's batch capacity
+(§3.5).
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ class LegalizerParams:
     Attributes:
         window_width: initial MGL window width in sites.
         window_height: initial MGL window height in rows.
-        window_expand: multiplicative growth per failed insertion attempt.
-        max_expansions: attempts before MGL gives up on a cell (an error;
-            indicates an over-full fence region).
         height_weighted: weigh displacement by ``1/|C_h|`` per Eq. 2
             during MGL (True) or uniformly (False, the Table 2 setting).
         use_matching: run the §3.2 max-displacement matching stage.
@@ -86,8 +85,6 @@ class LegalizerParams:
             band; interiors may place into the halo, and every cell
             landing within this many rows of a band boundary is
             re-legalized full-die during reconciliation.
-        seed_order: cell-ordering strategy for MGL
-            ("height_area_x" | "gp_x" | "input").
         eval_backend: insertion-evaluation backend.  ``"vector"`` (the
             default) routes ``InsertionContext.evaluate`` through the
             structure-of-arrays fast path (repro.core.soa): per-run
@@ -102,8 +99,6 @@ class LegalizerParams:
 
     window_width: int = 40
     window_height: int = 10
-    window_expand: float = 1.6
-    max_expansions: int = 12
     height_weighted: bool = False
     use_matching: bool = True
     use_flow_opt: bool = True
@@ -123,17 +118,12 @@ class LegalizerParams:
     scheduler_workers: int = 0
     shards: int = 1
     shard_halo_rows: int = 2
-    seed_order: str = "height_area_x"
     eval_backend: str = "vector"
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on out-of-range settings."""
         if self.window_width <= 0 or self.window_height <= 0:
             raise ValueError("window dimensions must be positive")
-        if self.window_expand <= 1.0:
-            raise ValueError("window_expand must exceed 1.0")
-        if self.max_expansions < 1:
-            raise ValueError("max_expansions must be at least 1")
         if self.matching_delta0 is not None and self.matching_delta0 <= 0:
             raise ValueError("matching_delta0 must be positive")
         if self.matching_max_group < 1:
@@ -156,8 +146,6 @@ class LegalizerParams:
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value!r}"
                 )
-        if self.seed_order not in ("height_area_x", "gp_x", "input"):
-            raise ValueError(f"unknown seed_order {self.seed_order!r}")
         if self.scheduler_capacity < 1:
             raise ValueError("scheduler_capacity must be at least 1")
         if self.scheduler_workers < 0:

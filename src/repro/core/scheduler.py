@@ -23,10 +23,12 @@ property the paper claims.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Deque, Dict, List, Optional, TYPE_CHECKING, Tuple, cast
 
 from repro.core.insertion import EvaluatedInsertion
 from repro.core.mgl import (
+    MAX_EXPANSIONS,
+    WINDOW_EXPAND,
     MGLegalizer,
     disp_so_far,
     evaluation_span_payload,
@@ -71,10 +73,9 @@ class WindowScheduler:
                 cannot be placed at the maximum window size.
         """
         legalizer = self.legalizer
-        params = legalizer.params
         waiting: Deque[Queued] = deque(
             (cell, 1.0, 0, legalizer.initial_window(cell, 1.0))
-            for cell in mgl_cell_order(legalizer.design, params)
+            for cell in mgl_cell_order(legalizer.design)
         )
         total_cells = len(waiting)
         observer = legalizer.observer
@@ -140,7 +141,7 @@ class WindowScheduler:
                                 continue
                             legalizer.stats["window_expansions"] += 1
                             attempts += 1
-                            if attempts >= params.max_expansions:
+                            if attempts >= MAX_EXPANSIONS:
                                 # Final attempt at chip scale,
                                 # synchronously and exhaustively.
                                 legalizer.place_exhaustive(
@@ -153,14 +154,14 @@ class WindowScheduler:
                                 # its remaining space.
                                 if span.recording:
                                     span.set(cell=cell, requeued=True)
-                                grown = scale * params.window_expand
+                                grown = scale * WINDOW_EXPAND
                                 waiting.appendleft((
                                     cell, grown, attempts,
                                     legalizer.initial_window(cell, grown),
                                 ))
                 if progress.enabled:
                     alive = (
-                        sum(1 for w in self.parallel.workers if w.alive)
+                        len(self.parallel.pool.alive)
                         if self.parallel is not None
                         else 0
                     )
@@ -212,54 +213,46 @@ class WindowScheduler:
         function of the task, so the trace structure never depends on
         the backend.
 
-        The in-process path hands the whole batch to
-        :meth:`MGLegalizer.evaluate_insert_many`, so members share the
-        legalizer's SoA mirror (row snapshots built for one window are
-        reused by later members) and the batch width lands in the
-        ``mgl.batch_width`` histogram; the process pool observes the
-        same width so the distribution stays backend-independent.
+        Multi-member batches go to the process pool while it has a live
+        worker.  Every member it loses, and every member of a batch
+        without a pool, is evaluated here through
+        :meth:`MGLegalizer.evaluate_insert_many`, so those members share
+        the legalizer's SoA mirror (row snapshots built for one window
+        are reused by later members).  The batch width lands in the
+        ``mgl.batch_width`` histogram here, once per batch, so the
+        distribution is the same for any worker count.
         """
         legalizer = self.legalizer
         tracer = legalizer.observer.tracer
+        legalizer.observer.observe(
+            "mgl.batch_width", float(len(batch)), BATCH_WIDTH_BUCKETS
+        )
+        outcomes: List[Optional[EvalOutcome]] = [None] * len(batch)
         parallel = self.parallel
         if parallel is not None and len(batch) > 1:
             if parallel.active:
-                self._observe_batch_width(len(batch))
-                return parallel.evaluate_batch(
+                outcomes = parallel.evaluate_batch(
                     batch, want_payloads=tracer.enabled
                 )
-            # Every worker failed earlier; continue serially for the
-            # rest of the run (identical placements either way).
-            parallel.close()
-            self.parallel = None
-        results = legalizer.evaluate_insert_many(
-            self.occupancy,
-            [(cell, window) for cell, _scale, _attempts, window in batch],
-        )
-        for _best, points in results:
-            legalizer.stats["insertions_evaluated"] += points
-        return [
-            (
-                best,
-                evaluation_span_payload(points, best)
-                if tracer.enabled and tracer.sampled(cell)
-                else None,
-            )
-            for (cell, _scale, _attempts, _window), (best, points)
-            in zip(batch, results)
+            else:
+                # Every worker failed earlier; continue serially for
+                # the rest of the run (identical placements either way).
+                parallel.close()
+                self.parallel = None
+        missing = [
+            slot for slot, outcome in enumerate(outcomes) if outcome is None
         ]
-
-    def _observe_batch_width(self, width: int) -> None:
-        """Mirror ``evaluate_insert_many``'s histogram on the pool path.
-
-        The process pool fans batch members out one task at a time, so
-        the batched entry point never sees them; observing the width
-        here keeps the ``mgl.batch_width`` distribution identical across
-        backends (the metrics determinism contract).
-        """
-        self.legalizer.observer.observe(
-            "mgl.batch_width", float(width), BATCH_WIDTH_BUCKETS
+        results = legalizer.evaluate_insert_many(
+            self.occupancy, [(batch[slot][0], batch[slot][3]) for slot in missing]
         )
+        for slot, (best, points) in zip(missing, results):
+            legalizer.stats["insertions_evaluated"] += points
+            sampled = tracer.enabled and tracer.sampled(batch[slot][0])
+            outcomes[slot] = (
+                best,
+                evaluation_span_payload(points, best) if sampled else None,
+            )
+        return cast(List[EvalOutcome], outcomes)
 
     def _still_valid(self, target: int, insertion: EvaluatedInsertion) -> bool:
         """Check the evaluated moves against the *current* occupancy.

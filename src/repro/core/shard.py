@@ -48,10 +48,12 @@ the interior loop degenerates to exactly the sequential path of
 :meth:`MGLegalizer.run` (reconciliation has no halo bands and nothing
 to do), reproducing the unsharded placement bit-exactly.
 
-Failure policy mirrors :mod:`repro.core.parallel`: a shard worker that
-cannot spawn, crashes, or hangs past :data:`~repro.core.parallel.WORKER_TIMEOUT`
-is retired and its shards are recomputed in-process, so sharding can
-slow down but never lose cells or change the answer.
+Interiors run on :class:`repro.core.parallel.WorkerPool`, the process
+pool the §3.5 scheduler uses too, and share its failure policy: a shard
+worker that cannot spawn, crashes, hangs past
+:data:`~repro.core.parallel.WORKER_TIMEOUT`, or is handed shards that
+cannot be pickled is retired, and its shards are recomputed in-process,
+so sharding can slow down but never lose cells or change the answer.
 """
 
 from __future__ import annotations
@@ -61,11 +63,19 @@ import pickle
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.mgl import (
+    MAX_EXPANSIONS,
+    WINDOW_EXPAND,
+    MGLegalizer,
+    disp_so_far,
+    fixed_cell_occupancy,
+    mgl_cell_order,
+)
 from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
-from repro.core.parallel import WORKER_TIMEOUT, _pick_context
+from repro.core.parallel import PoolNames, WorkerPool
 from repro.model.design import Design
 from repro.model.fence import DEFAULT_FENCE
 from repro.model.geometry import Rect
@@ -73,11 +83,6 @@ from repro.model.placement import Placement
 from repro.obs.clock import monotonic
 from repro.obs.metrics import SHARD_OCCUPANCY_BUCKETS
 from repro.obs.observer import NULL_OBSERVER, Observer
-
-if TYPE_CHECKING:
-    from multiprocessing.process import BaseProcess
-
-    from repro.core.mgl import MGLegalizer
 
 __all__ = [
     "Shard",
@@ -270,7 +275,6 @@ class ShardInteriorResult:
     reconciliation); ``stats`` is the interior legalizer's counter dict.
     """
 
-    index: int
     positions: List[Tuple[int, int, int]]
     deferred: List[int]
     stats: Dict[str, int]
@@ -301,29 +305,22 @@ def legalize_shard_interior(
     """Legalize one shard's assigned cells inside its halo-extended rect.
 
     A pure function of its arguments: builds a fresh legalizer,
-    placement, and occupancy (fixed cells pinned exactly as
-    :meth:`MGLegalizer.run` does), walks the assigned cells in the
-    global :func:`mgl_cell_order`, and runs the standard
-    expand-on-failure window loop with every window — including the
-    final exhaustive one — intersected with the shard rect.  With the
-    chip-sized shard of a ``shards=1`` topology the clamp is the
-    identity and this reproduces the sequential path of
+    placement, and occupancy (fixed cells pinned by
+    :func:`fixed_cell_occupancy`, as in :meth:`MGLegalizer.run`), walks
+    the assigned cells in the global :func:`mgl_cell_order`, and runs
+    the standard expand-on-failure window loop with every window —
+    including the final exhaustive one — intersected with the shard
+    rect.  With the chip-sized shard of a ``shards=1`` topology the
+    clamp is the identity and this reproduces the sequential path of
     :meth:`MGLegalizer.run` bit-exactly.
     """
-    from repro.core.mgl import MGLegalizer, mgl_cell_order
-
     legalizer = MGLegalizer(design, params, reference=reference)
     placement = Placement(design)
-    occupancy = Occupancy(design, placement)
-    for cell in range(design.num_cells):
-        if design.cells[cell].fixed:
-            placement.move(cell, int(design.gp_x[cell]), int(design.gp_y[cell]))
-            occupancy.add(cell)
-
+    occupancy = fixed_cell_occupancy(design, placement)
     shard_rect = shard.rect(design)
     assigned = frozenset(shard.cells)
     deferred: List[int] = []
-    for cell in mgl_cell_order(design, params):
+    for cell in mgl_cell_order(design):
         if cell not in assigned:
             continue
         if not _legalize_cell_clamped(legalizer, occupancy, cell, shard_rect):
@@ -334,7 +331,6 @@ def legalize_shard_interior(
         if occupancy.is_placed(cell)
     ]
     return ShardInteriorResult(
-        index=shard.index,
         positions=positions,
         deferred=deferred,
         stats=dict(legalizer.stats),
@@ -342,7 +338,7 @@ def legalize_shard_interior(
 
 
 def _legalize_cell_clamped(
-    legalizer: "MGLegalizer",
+    legalizer: MGLegalizer,
     occupancy: Occupancy,
     cell: int,
     shard_rect: Rect,
@@ -353,9 +349,8 @@ def _legalize_cell_clamped(
     shard-rect window holds no feasible insertion — inside a shard
     that is an expected outcome near over-full bands, not an error.
     """
-    params = legalizer.params
     scale = 1.0
-    for _attempt in range(params.max_expansions):
+    for _attempt in range(MAX_EXPANSIONS):
         window = legalizer.initial_window(cell, scale).intersect(shard_rect)
         if not window.empty:
             insertion = legalizer.try_insert(occupancy, cell, window)
@@ -363,7 +358,7 @@ def _legalize_cell_clamped(
                 legalizer.apply_insertion(occupancy, cell, insertion)
                 return True
         legalizer.stats["window_expansions"] += 1
-        scale *= params.window_expand
+        scale *= WINDOW_EXPAND
     insertion = legalizer.try_insert(occupancy, cell, shard_rect, exhaustive=True)
     if insertion is not None:
         legalizer.apply_insertion(occupancy, cell, insertion)
@@ -372,20 +367,28 @@ def _legalize_cell_clamped(
 
 
 # ----------------------------------------------------------------------
-# Worker pool (parent side + worker entry point)
+# Worker entry point (the pool itself is repro.core.parallel.WorkerPool)
 # ----------------------------------------------------------------------
+
+#: Where the shard pool records its workers.
+SHARD_POOL = PoolNames(
+    failures="shard_worker_failures",
+    spawned="shard_workers_spawned",
+    retired="shard.worker_retired",
+    busy="shard.worker",
+)
 
 
 def shard_worker_main(conn: Connection) -> None:
     """Entry point of one shard worker process.
 
-    Protocol (tuples, tag first — the :mod:`repro.core.parallel` idiom,
-    without the occupancy journal: shard occupancies are disjoint, so
-    there is no shared state to mirror):
+    Protocol (see :class:`~repro.core.parallel.WorkerPool`; no occupancy
+    journal — shard occupancies are disjoint, so there is no shared
+    state to mirror):
 
     * receive ``("init", design, params, reference)`` once, reply
       ``("ready",)``;
-    * then repeatedly receive ``("shards", [Shard, ...])`` — run
+    * then repeatedly receive ``("work", [Shard, ...])`` — run
       :func:`legalize_shard_interior` on each, reply
       ``("results", [ShardInteriorResult, ...], busy_seconds)``;
     * ``("stop",)`` ends the loop.
@@ -404,13 +407,12 @@ def shard_worker_main(conn: Connection) -> None:
             message = conn.recv()
             if message[0] == "stop":
                 break
-            if message[0] != "shards":  # pragma: no cover - protocol guard
-                raise RuntimeError(f"expected shards, got {message[0]!r}")
-            _tag, shards = message
+            if message[0] != "work":  # pragma: no cover - protocol guard
+                raise RuntimeError(f"expected work, got {message[0]!r}")
             busy_start = monotonic()
             results = [
                 legalize_shard_interior(design, params, reference, shard)
-                for shard in shards
+                for shard in message[1]
             ]
             conn.send(("results", results, monotonic() - busy_start))
     except EOFError:
@@ -422,129 +424,6 @@ def shard_worker_main(conn: Connection) -> None:
             pass
     finally:
         conn.close()
-
-
-@dataclass
-class _ShardWorker:
-    """Parent-side bookkeeping for one shard worker process."""
-
-    index: int
-    process: "BaseProcess"
-    conn: Connection
-    alive: bool = True
-
-
-def _run_shard_pool(
-    legalizer: "MGLegalizer",
-    params: LegalizerParams,
-    shards: Sequence[Shard],
-    num_workers: int,
-) -> Dict[int, ShardInteriorResult]:
-    """Fan shards out to a process pool; return whatever succeeded.
-
-    Every worker legalizes its shards with the interior ``params``.
-    Shards are striped over the workers that survive the init
-    handshake; each worker receives one message with its share and
-    sends one reply.  Workers that fail at any point are retired (a
-    ``shard.worker_retired`` count on the legalizer's observer) and
-    their shards simply stay absent from the result map — the caller
-    recomputes them in-process, so failures cost time, never answers.
-    """
-    results: Dict[int, ShardInteriorResult] = {}
-    stats = legalizer.stats
-    observer = legalizer.observer
-
-    def retire(worker: _ShardWorker) -> None:
-        if not worker.alive:
-            return
-        worker.alive = False
-        stats["shard_worker_failures"] += 1
-        observer.count("shard.worker_retired")
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-
-    try:
-        context = _pick_context()
-    except Exception:  # noqa: BLE001 - no multiprocessing at all
-        stats["shard_worker_failures"] += num_workers
-        return results
-    init_message = ("init", legalizer.design, params, legalizer.reference)
-    workers: List[_ShardWorker] = []
-    for index in range(num_workers):
-        try:
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=shard_worker_main, args=(child_conn,), daemon=True
-            )
-            process.start()
-            child_conn.close()
-            parent_conn.send(init_message)
-            workers.append(_ShardWorker(index, process, parent_conn))
-        except Exception:  # noqa: BLE001 - spawn failure => fewer workers
-            stats["shard_worker_failures"] += 1
-    try:
-        for worker in workers:
-            try:
-                if not worker.conn.poll(WORKER_TIMEOUT):
-                    raise TimeoutError("shard worker init handshake timed out")
-                reply = worker.conn.recv()
-                if reply[0] != "ready":
-                    raise RuntimeError(f"shard worker init failed: {reply!r}")
-            except Exception:  # noqa: BLE001
-                retire(worker)
-        alive = [worker for worker in workers if worker.alive]
-        stats["shard_workers_spawned"] += len(alive)
-        if not alive:
-            return results
-
-        shares: Dict[int, List[Shard]] = {worker.index: [] for worker in alive}
-        for position, shard in enumerate(shards):
-            shares[alive[position % len(alive)].index].append(shard)
-        pending: List[_ShardWorker] = []
-        for worker in alive:
-            share = shares[worker.index]
-            if not share:
-                continue
-            try:
-                worker.conn.send(("shards", share))
-            except Exception:  # noqa: BLE001 - retire, recompute locally
-                retire(worker)
-                continue
-            pending.append(worker)
-        for worker in pending:
-            try:
-                if not worker.conn.poll(WORKER_TIMEOUT):
-                    raise TimeoutError("shard worker reply timed out")
-                reply = worker.conn.recv()
-                if reply[0] != "results":
-                    raise RuntimeError(f"shard worker reported: {reply!r}")
-                _tag, worker_results, busy_seconds = reply
-                observer.record_time(
-                    f"shard.worker{worker.index}", busy_seconds
-                )
-                for result in worker_results:
-                    results[result.index] = result
-            except Exception:  # noqa: BLE001 - retire, recompute locally
-                retire(worker)
-    finally:
-        for worker in workers:
-            if worker.alive:
-                try:
-                    worker.conn.send(("stop",))
-                except Exception:  # noqa: BLE001
-                    pass
-                worker.alive = False
-                worker.conn.close()
-        for worker in workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +447,7 @@ def _intersects_bands(y: int, height: int, bands: Sequence[Tuple[int, int]]) -> 
     return False
 
 
-def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
+def run_sharded(legalizer: MGLegalizer, occupancy: Occupancy) -> None:
     """Run the sharded MGL flow against a prepared occupancy.
 
     The occupancy (and its placement) must already hold the fixed cells
@@ -582,8 +461,6 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
             cannot be placed anywhere in its fence even full-die (the
             same over-full condition as the unsharded path).
     """
-    from repro.core.mgl import disp_so_far, mgl_cell_order
-
     design = legalizer.design
     params = legalizer.params
     observer = legalizer.observer
@@ -597,7 +474,7 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
     # and the reconciliation pass; registering it here keeps direct
     # run_sharded_mgl() callers under the same sampling contract as
     # MGLegalizer.run() (the call is idempotent).
-    global_order = mgl_cell_order(design, params)
+    global_order = mgl_cell_order(design)
     tracer.set_cell_population(global_order)
 
     topology = compute_topology(design, params.shards, params.shard_halo_rows)
@@ -611,7 +488,9 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
                 shards=len(topology.shards), halo_rows=topology.halo_rows
             )
 
-        results: Dict[int, ShardInteriorResult] = {}
+        pooled: List[Optional[ShardInteriorResult]] = [None] * len(
+            topology.shards
+        )
         num_workers = min(params.scheduler_workers, len(topology.shards))
         progress.phase(
             "shard_interiors",
@@ -620,22 +499,31 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
             workers=num_workers,
         )
         if num_workers >= 1:
-            results = _run_shard_pool(
-                legalizer, iparams, topology.shards, num_workers
+            pool = WorkerPool(
+                shard_worker_main,
+                (design, iparams, legalizer.reference),
+                num_workers,
+                legalizer,
+                SHARD_POOL,
             )
-            missing = len(topology.shards) - len(results)
-            stats["shard_fallbacks"] += missing
-        for shard in topology.shards:
-            if shard.index not in results:
-                results[shard.index] = legalize_shard_interior(
-                    design, iparams, legalizer.reference, shard
-                )
+            try:
+                pooled = pool.run(topology.shards)
+            finally:
+                pool.close()
+            stats["shard_fallbacks"] += pooled.count(None)
+        # Shards the pool lost (or all of them, without one) are
+        # computed here: the same pure function the workers run.
+        results = [
+            result if result is not None else legalize_shard_interior(
+                design, iparams, legalizer.reference, shard
+            )
+            for shard, result in zip(topology.shards, pooled)
+        ]
 
         # Merge interior counters and emit per-shard observability in
         # shard order — everything below is derived from the results,
         # so it is identical for any worker count.
-        for shard in topology.shards:
-            result = results[shard.index]
+        for shard, result in zip(topology.shards, results):
             for key in _MERGED_STAT_KEYS:
                 stats[key] += result.stats.get(key, 0)
             if tracer.enabled:
@@ -672,8 +560,7 @@ def run_sharded(legalizer: "MGLegalizer", occupancy: Occupancy) -> None:
         keep: List[Tuple[int, int, int]] = []
         halo_resident: List[int] = []
         deferred: List[int] = []
-        for shard in topology.shards:
-            result = results[shard.index]
+        for result in results:
             deferred.extend(result.deferred)
             for cell, x, y in result.positions:
                 height = design.cell_type_of(cell).height
@@ -729,21 +616,14 @@ def run_sharded_mgl(
     design: Design,
     params: LegalizerParams,
     observer: Observer = NULL_OBSERVER,
-) -> Tuple[Placement, "MGLegalizer"]:
+) -> Tuple[Placement, MGLegalizer]:
     """Run the sharded path directly, for any shard count (including 1).
 
     :meth:`MGLegalizer.run` only routes here when ``params.shards > 1``;
     tests and benchmarks use this helper to exercise the ``shards=1``
     bit-identity contract against the plain sequential path.
     """
-    from repro.core.mgl import MGLegalizer
-
     legalizer = MGLegalizer(design, params, observer=observer)
     placement = Placement(design)
-    occupancy = Occupancy(design, placement)
-    for cell in range(design.num_cells):
-        if design.cells[cell].fixed:
-            placement.move(cell, int(design.gp_x[cell]), int(design.gp_y[cell]))
-            occupancy.add(cell)
-    run_sharded(legalizer, occupancy)
+    run_sharded(legalizer, fixed_cell_occupancy(design, placement))
     return placement, legalizer

@@ -62,9 +62,10 @@ BATCH_OCCUPANCY_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
 )
 
-#: Width of batched insertion evaluations (``evaluate_insert_many``
-#: tasks per call); same shape as the batch-occupancy buckets so the
-#: two distributions compare directly.
+#: Width of each evaluated scheduler batch (``mgl.batch_width``,
+#: observed once per batch by ``WindowScheduler._evaluate_batch``
+#: whichever backend evaluates it); same shape as the batch-occupancy
+#: buckets so the two distributions compare directly.
 BATCH_WIDTH_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
 )

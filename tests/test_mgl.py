@@ -118,22 +118,9 @@ class TestWindow:
 
 class TestOrdering:
     def test_height_first_order(self, small_design):
-        order = mgl_cell_order(small_design, no_routability())
+        order = mgl_cell_order(small_design)
         heights = [small_design.cell_type_of(c).height for c in order]
         assert heights == sorted(heights, reverse=True)
-
-    def test_gp_x_order(self, small_design):
-        order = mgl_cell_order(
-            small_design, no_routability(seed_order="gp_x")
-        )
-        xs = [small_design.gp_x[c] for c in order]
-        assert xs == sorted(xs)
-
-    def test_input_order(self, small_design):
-        order = mgl_cell_order(
-            small_design, no_routability(seed_order="input")
-        )
-        assert order == small_design.movable_cells()
 
 
 class TestHeightWeights:

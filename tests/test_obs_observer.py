@@ -110,8 +110,8 @@ def run_metrics(design, **knobs):
 def test_metrics_identical_at_any_worker_count(small_design, path):
     serial = run_metrics(small_design, scheduler_workers=0, **path)
     pooled = run_metrics(small_design, scheduler_workers=2, **path)
-    # On the pool path mgl.batch_width comes from the scheduler's own
-    # observation, in-process from evaluate_insert_many.
+    # mgl.batch_width is observed once per batch by the scheduler,
+    # whichever backend evaluated the batch.
     assert serial.histograms.keys() == pooled.histograms.keys()
     for name, histogram in serial.histograms.items():
         assert histogram.as_dict() == pooled.histograms[name].as_dict(), name

@@ -4,11 +4,14 @@ The load-bearing property: for any scheduler capacity, the placement
 produced with a process pool is **bit-identical** to the in-process
 path's — workers are an execution detail, never a semantic one.  The
 failure-handling tests then check that no cell is ever lost to the
-parallel infrastructure: crashes, pickle failures, and spawn failures
-all degrade to in-process evaluation.
+parallel infrastructure: crashes before the handshake or mid-run,
+hangs past ``WORKER_TIMEOUT``, pickle failures, spawn failures and a
+missing start method all degrade to in-process evaluation.
+tests/test_shard.py runs the same failures through the shard path.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -62,6 +65,32 @@ def positions(design: Design, capacity: int, workers: int):
     )
     placement = MGLegalizer(design, params).run()
     return list(placement.x), list(placement.y)
+
+
+def crash_before_handshake(conn):
+    """A worker entry point that dies before answering the init message."""
+    conn.close()
+
+
+def hang_after_handshake(conn):
+    """A worker entry point that comes up, then never answers its work."""
+    conn.recv()
+    conn.send(("ready",))
+    conn.recv()
+    time.sleep(600)  # The pool terminates it on retirement.
+
+
+def pooled_run(design, registry=None):
+    """Capacity-8 MGL on two workers: (positions, stats)."""
+    from repro.obs.observer import Observer
+
+    params = LegalizerParams(
+        routability=False, scheduler_capacity=8, scheduler_workers=2
+    )
+    legalizer = MGLegalizer(design, params, observer=Observer(metrics=registry))
+    placement = legalizer.run()
+    assert check_legal(placement).is_legal
+    return (list(placement.x), list(placement.y)), legalizer.stats
 
 
 class TestBitIdenticalPlacements:
@@ -156,8 +185,8 @@ class TestFailureFallbacks:
 
         def kill_then_evaluate(self, batch, want_payloads=False):
             if not killed:
-                self.workers[0].process.terminate()
-                self.workers[0].process.join(timeout=5.0)
+                self.pool.workers[0].process.terminate()
+                self.pool.workers[0].process.join(timeout=5.0)
                 killed.append(True)
             return original_evaluate(self, batch, want_payloads)
 
@@ -197,8 +226,8 @@ class TestFailureFallbacks:
 
         def kill_then_evaluate(self, batch, want_payloads=False):
             if not killed:
-                self.workers[0].process.terminate()
-                self.workers[0].process.join(timeout=5.0)
+                self.pool.workers[0].process.terminate()
+                self.pool.workers[0].process.join(timeout=5.0)
                 killed.append(True)
             return original_evaluate(self, batch, want_payloads)
 
@@ -239,6 +268,50 @@ class TestFailureFallbacks:
         ).run()
         assert placement.x == serial.x and placement.y == serial.y
 
+    def test_crash_before_handshake_degrades_to_in_process(
+        self, small_design, monkeypatch
+    ):
+        serial = positions(small_design, 8, workers=0)
+        monkeypatch.setattr(
+            parallel_mod, "worker_main", crash_before_handshake
+        )
+        pooled, stats = pooled_run(small_design)
+        assert pooled == serial
+        assert stats["parallel_worker_failures"] == 2
+        assert stats["scheduler_workers_spawned"] == 0
+
+    def test_hung_worker_retired_after_timeout(
+        self, small_design, monkeypatch
+    ):
+        """A worker that never replies costs WORKER_TIMEOUT, not cells."""
+        from repro.obs.metrics import MetricsRegistry
+
+        serial = positions(small_design, 8, workers=0)
+        monkeypatch.setattr(parallel_mod, "WORKER_TIMEOUT", 0.5)
+        monkeypatch.setattr(parallel_mod, "worker_main", hang_after_handshake)
+        registry = MetricsRegistry()
+        pooled, stats = pooled_run(small_design, registry)
+        assert pooled == serial
+        assert stats["scheduler_workers_spawned"] == 2
+        assert stats["parallel_worker_failures"] == 2
+        assert registry.counters["scheduler.worker_retired"] == 2
+        assert stats["parallel_tasks"] == 0
+        assert stats["parallel_fallbacks"] > 0
+
+    def test_no_start_method_degrades_to_in_process(
+        self, small_design, monkeypatch
+    ):
+        serial = positions(small_design, 8, workers=0)
+
+        def no_context():
+            raise RuntimeError("no multiprocessing today")
+
+        monkeypatch.setattr(parallel_mod, "_pick_context", no_context)
+        pooled, stats = pooled_run(small_design)
+        assert pooled == serial
+        assert stats["parallel_worker_failures"] == 2
+        assert stats["scheduler_workers_spawned"] == 0
+
 
 class TestPoolLifecycle:
     def test_journal_detached_and_workers_reaped(self, small_design):
@@ -252,7 +325,7 @@ class TestPoolLifecycle:
         scheduler.run()
         assert occupancy.journal is None
         if scheduler.parallel is not None:
-            for worker in scheduler.parallel.workers:
+            for worker in scheduler.parallel.pool.workers:
                 assert not worker.process.is_alive()
 
     def test_journal_records_all_mutation_kinds(self, small_design):

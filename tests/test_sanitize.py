@@ -24,6 +24,7 @@ if str(REPO_ROOT) not in sys.path:
 import tools.repro_lint.sanitize as sanitize  # noqa: E402
 from tools.repro_lint.sanitize import (  # noqa: E402
     CASE_NAMES,
+    POOLED_CASES,
     CaseResult,
     ChildReport,
     run_corpus,
@@ -86,6 +87,26 @@ def test_tripwire_respects_explicit_kind():
     assert proc.stdout.strip() == "ok"
 
 
+def test_crash_stub_reaches_both_pool_users_in_patched_subprocess():
+    # The crash leg proves nothing unless the stub replaces the entry
+    # points the pool really spawns: every pooled case must lose both
+    # of its workers (scheduler windows and shard interiors alike).
+    script = (
+        "from tools.repro_lint.sanitize import (POOLED_CASES, "
+        "install_perturbation, run_corpus)\n"
+        "install_perturbation('crash', 1)\n"
+        "results = run_corpus(cases=list(POOLED_CASES))\n"
+        "print(sorted((n, r.worker_failures) for n, r in results.items()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_subprocess_env(),
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(POOLED_CASES) == ["sharded", "workers"]
+    assert proc.stdout.strip() == "[('sharded', 2), ('workers', 2)]"
+
+
 def _shuffle_order(salt):
     script = (
         "import sys\n"
@@ -118,9 +139,15 @@ def test_shuffled_set_shim_perturbs_iteration_per_salt():
 # ----------------------------------------------------------------------
 
 
-def _base_results():
+def _base_results(perturb="none"):
+    # Under the crash stub every pooled case loses its two workers.
     return {
-        name: CaseResult(placement=f"p-{name}", trace=f"t-{name}")
+        name: CaseResult(
+            placement=f"p-{name}", trace=f"t-{name}",
+            worker_failures=(
+                2 if perturb == "crash" and name in POOLED_CASES else 0
+            ),
+        )
         for name in CASE_NAMES
     }
 
@@ -133,7 +160,7 @@ def _patch_harness(monkeypatch, spawn):
 def test_sanitize_green_matrix_exits_0(monkeypatch, capsys):
     def spawn(root, perturb, salt, hashseed, cases, corpus_dir):
         return ChildReport(
-            results=_base_results(),
+            results=_base_results(perturb),
             canary_fired=True if perturb == "tripwire" else None,
         )
 
@@ -146,7 +173,7 @@ def test_sanitize_green_matrix_exits_0(monkeypatch, capsys):
 
 def test_sanitize_divergence_exits_1(monkeypatch, capsys):
     def spawn(root, perturb, salt, hashseed, cases, corpus_dir):
-        results = _base_results()
+        results = _base_results(perturb)
         if perturb == "shuffle":
             results["workers"] = CaseResult(placement="DIFF", trace="DIFF")
         return ChildReport(
@@ -166,13 +193,31 @@ def test_sanitize_dead_canary_exits_2(monkeypatch, capsys):
     # an internal error even though every hash "matched".
     def spawn(root, perturb, salt, hashseed, cases, corpus_dir):
         return ChildReport(
-            results=_base_results(),
+            results=_base_results(perturb),
             canary_fired=False if perturb == "tripwire" else None,
         )
 
     _patch_harness(monkeypatch, spawn)
     assert sanitize_main(["--seeds", "1"]) == 2
     assert "canary did not fire" in capsys.readouterr().err
+
+
+def test_sanitize_crash_that_missed_the_pool_exits_2(monkeypatch, capsys):
+    # A crash leg whose pooled cases lost no worker never reached the
+    # pool: an internal error, even though every hash "matched".
+    def spawn(root, perturb, salt, hashseed, cases, corpus_dir):
+        results = _base_results(perturb)
+        results["sharded"].worker_failures = 0
+        return ChildReport(
+            results=results,
+            canary_fired=True if perturb == "tripwire" else None,
+        )
+
+    _patch_harness(monkeypatch, spawn)
+    assert sanitize_main(["--seeds", "1"]) == 2
+    assert "crash stub reached no worker of sharded" in (
+        capsys.readouterr().err
+    )
 
 
 def test_sanitize_baseline_failure_exits_2(monkeypatch, capsys):
@@ -189,7 +234,7 @@ def test_sanitize_crashed_child_exits_2(monkeypatch, capsys):
         if perturb == "crash":
             return ChildReport(results={}, error="child exited 134: SIGABRT")
         return ChildReport(
-            results=_base_results(),
+            results=_base_results(perturb),
             canary_fired=True if perturb == "tripwire" else None,
         )
 
@@ -206,7 +251,7 @@ def test_sanitize_rejects_zero_seeds(capsys):
 def test_sanitize_summary_file(monkeypatch, tmp_path, capsys):
     def spawn(root, perturb, salt, hashseed, cases, corpus_dir):
         return ChildReport(
-            results=_base_results(),
+            results=_base_results(perturb),
             canary_fired=True if perturb == "tripwire" else None,
         )
 

@@ -12,11 +12,14 @@ The contracts, in order of importance:
   over-full bands) degrade to slower, never to wrong or lost cells.
 """
 
+import os
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.core.parallel as parallel_mod
 import repro.core.shard as shard_mod
 from repro.benchgen import iccad2017_suite
 from repro.checker import check_legal
@@ -34,7 +37,7 @@ from repro.model.placement import Placement
 from repro.model.technology import CellType, Technology
 from repro.obs.manifest import placement_digest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import Observer
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.tracer import SpanTracer
 
 
@@ -87,15 +90,33 @@ def build_design(seed: int, density: float, with_fence: bool) -> Design:
     return design
 
 
-def sharded_positions(design, shards, halo, workers=0):
+def sharded_positions(
+    design, shards, halo, workers=0, observer=NULL_OBSERVER
+):
     params = LegalizerParams(
         routability=False,
         shards=shards,
         shard_halo_rows=halo,
         scheduler_workers=workers,
     )
-    placement, legalizer = run_sharded_mgl(design, params)
+    placement, legalizer = run_sharded_mgl(design, params, observer)
     return (list(placement.x), list(placement.y)), legalizer
+
+
+def crash_mid_run(conn):
+    """A shard worker that comes up, then dies on its first work message."""
+    conn.recv()
+    conn.send(("ready",))
+    conn.recv()
+    os._exit(1)
+
+
+def hang_after_handshake(conn):
+    """A shard worker that comes up, then never answers its work."""
+    conn.recv()
+    conn.send(("ready",))
+    conn.recv()
+    time.sleep(600)  # The pool terminates it on retirement.
 
 
 class TestTopology:
@@ -302,7 +323,7 @@ class TestFailureFallbacks:
         def no_context():
             raise RuntimeError("no multiprocessing today")
 
-        monkeypatch.setattr(shard_mod, "_pick_context", no_context)
+        monkeypatch.setattr(parallel_mod, "_pick_context", no_context)
         pooled, legalizer = sharded_positions(
             small_design, shards=3, halo=2, workers=2
         )
@@ -326,6 +347,56 @@ class TestFailureFallbacks:
             small_design, params, observer=Observer(metrics=registry)
         )
         assert registry.counters["shard.worker_retired"] >= 1
+
+    def test_crash_mid_run_degrades_to_in_process(
+        self, small_design, monkeypatch
+    ):
+        serial, _ = sharded_positions(small_design, shards=3, halo=2, workers=0)
+        monkeypatch.setattr(shard_mod, "shard_worker_main", crash_mid_run)
+        pooled, legalizer = sharded_positions(
+            small_design, shards=3, halo=2, workers=2
+        )
+        assert pooled == serial
+        assert legalizer.stats["shard_workers_spawned"] == 2
+        assert legalizer.stats["shard_worker_failures"] == 2
+        assert legalizer.stats["shard_fallbacks"] == 3
+
+    def test_hung_worker_retired_after_timeout(
+        self, small_design, monkeypatch
+    ):
+        """A worker that never replies costs WORKER_TIMEOUT, not cells."""
+        serial, _ = sharded_positions(small_design, shards=3, halo=2, workers=0)
+        monkeypatch.setattr(parallel_mod, "WORKER_TIMEOUT", 0.5)
+        monkeypatch.setattr(
+            shard_mod, "shard_worker_main", hang_after_handshake
+        )
+        registry = MetricsRegistry()
+        pooled, legalizer = sharded_positions(
+            small_design, shards=3, halo=2, workers=2,
+            observer=Observer(metrics=registry),
+        )
+        assert pooled == serial
+        assert legalizer.stats["shard_workers_spawned"] == 2
+        assert legalizer.stats["shard_worker_failures"] == 2
+        assert registry.counters["shard.worker_retired"] == 2
+        assert legalizer.stats["shard_fallbacks"] == 3
+
+    def test_unpicklable_share_degrades_to_in_process(
+        self, small_design, monkeypatch
+    ):
+        serial, _ = sharded_positions(small_design, shards=3, halo=2, workers=0)
+
+        def refuse(_shard):
+            raise TypeError("simulated unpicklable shard")
+
+        monkeypatch.setattr(shard_mod.Shard, "__reduce__", refuse)
+        pooled, legalizer = sharded_positions(
+            small_design, shards=3, halo=2, workers=2
+        )
+        assert pooled == serial
+        assert legalizer.stats["shard_workers_spawned"] == 2
+        assert legalizer.stats["shard_worker_failures"] == 2
+        assert legalizer.stats["shard_fallbacks"] == 3
 
 
 class TestObservability:

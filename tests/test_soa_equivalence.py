@@ -178,7 +178,7 @@ def _mid_run_states(
                 cell, int(design.gp_x[cell]), int(design.gp_y[cell])
             )
             occupancy.add(cell)
-    order = list(mgl_cell_order(design, legalizer.params))
+    order = list(mgl_cell_order(design))
     split = max(1, int(len(order) * fraction))
     try:
         for cell in order[:split]:

@@ -70,8 +70,7 @@ class TestSamplingPolicy:
     def test_sampled_cells_are_every_kth_of_the_fixed_order(
         self, small_design
     ):
-        params = LegalizerParams(routability=False, scheduler_capacity=8)
-        order = mgl_cell_order(small_design, params)
+        order = mgl_cell_order(small_design)
         tracer, _ = sampled_mgl(small_design, workers=0, sample_every=3)
         assert cells_with_window_spans(tracer) == set(order[::3])
 
@@ -83,8 +82,7 @@ class TestSamplingPolicy:
         )
         names = {span.name for span in tracer._walk_all()}
         assert "batch" in names  # scheduler structure is never sampled away
-        params = LegalizerParams(routability=False, scheduler_capacity=8)
-        order = mgl_cell_order(small_design, params)
+        order = mgl_cell_order(small_design)
         assert cells_with_window_spans(tracer) == {order[0]}
 
     def test_k1_is_identical_to_the_default_tracer(self, small_design):
@@ -100,8 +98,7 @@ class TestSamplingPolicy:
         assert thin_tracer.structure_hash() != full_tracer.structure_hash()
 
     def test_sampled_predicate_matches_recorded_spans(self, small_design):
-        params = LegalizerParams(routability=False, scheduler_capacity=8)
-        order = mgl_cell_order(small_design, params)
+        order = mgl_cell_order(small_design)
         tracer = SpanTracer(sample_every=2)
         tracer.set_cell_population(order)
         kept = {cell for cell in order if tracer.sampled(cell)}

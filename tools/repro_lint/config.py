@@ -65,6 +65,7 @@ DEFAULT_SCHEDULER_MODULES: Tuple[str, ...] = (
 DEFAULT_PURE_CONTRACTS: Tuple[str, ...] = (
     "repro.core.mgl.MGLegalizer.evaluate_insert",
     "repro.core.parallel.worker_main",
+    "repro.core.shard.shard_worker_main",
 )
 
 #: M001: classes whose internals may only be written by their home module.

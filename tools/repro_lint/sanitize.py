@@ -23,13 +23,19 @@ in place before ``repro`` imports):
   must visibly fire or the run is an internal error — the tripwire
   cannot silently rot.  ``ndarray.sort`` is a C method slot and cannot
   be patched; A001 covers method-call sites statically.
-* ``crash``     — ``repro.core.parallel.worker_main`` is replaced with
-  a stub that drops its pipe immediately, so every worker retires and
-  the scheduler must take its serial fallback; the fallback is required
-  to be bit-identical.
+* ``crash``     — both worker entry points of the one process pool,
+  ``repro.core.parallel.worker_main`` (scheduler windows) and
+  ``repro.core.shard.shard_worker_main`` (shard interiors), are
+  replaced with a stub that drops its pipe immediately, so every
+  worker retires and each case must recompute its work in process;
+  the result is required to be bit-identical.  Each child reports its
+  cases' worker-failure stats, and a pooled case (one with
+  ``scheduler_workers > 0``) that lost no worker under ``crash`` is an
+  internal error — the stub cannot silently stop reaching the pool.
 
 Exit codes: 0 all runs matched, 1 divergence, 2 internal error (a child
-crashed, emitted garbage, or the tripwire canary failed to fire).
+crashed, emitted garbage, the tripwire canary failed to fire, or the
+crash stub never reached a pooled case's workers).
 
 Everything heavyweight (numpy, repro) is imported inside functions:
 the perturbation shims must be installed first, and plain lint runs
@@ -52,10 +58,11 @@ from typing import Any, Dict, List, Optional, Tuple
 PERTURBATIONS: Tuple[str, ...] = ("hashseed", "shuffle", "tripwire", "crash")
 
 #: The corpus: ``(name, SyntheticSpec kwargs, LegalizerParams kwargs)``
-#: per case, each legalized by ``legalize()``.  The first three switch
-#: matching and stage 3 off, leaving MGL alone; ``full_flow`` runs every
-#: default stage.  The cell counts are small enough that a full matrix
-#: run stays interactive.
+#: per case, each legalized by ``legalize()``.  The first four switch
+#: matching and stage 3 off, leaving MGL alone; ``workers`` and
+#: ``sharded`` run the process pool, one for each of its users;
+#: ``full_flow`` runs every default stage.  The cell counts are small
+#: enough that a full matrix run stays interactive.
 _CORPUS_RECIPES: Tuple[Tuple[str, Dict[str, Any], Dict[str, Any]], ...] = (
     (
         "serial_fence",
@@ -79,6 +86,13 @@ _CORPUS_RECIPES: Tuple[Tuple[str, Dict[str, Any], Dict[str, Any]], ...] = (
              use_matching=False, use_flow_opt=False),
     ),
     (
+        "sharded",
+        dict(name="sanitize-sharded", cells_by_height={1: 120, 2: 10},
+             density=0.5, seed=19),
+        dict(routability=False, shards=2, scheduler_workers=2,
+             use_matching=False, use_flow_opt=False),
+    ),
+    (
         # Mixed heights, a fence, edge rules, the P/G grid and IO pins,
         # so the routability guard's walk plans and the stage-3 feasible
         # ranges run under every perturbation; stage 3 picks network
@@ -93,6 +107,12 @@ _CORPUS_RECIPES: Tuple[Tuple[str, Dict[str, Any], Dict[str, Any]], ...] = (
 
 CASE_NAMES: Tuple[str, ...] = tuple(name for name, _, _ in _CORPUS_RECIPES)
 
+#: Cases that run the process pool: the ``crash`` stub must reach them.
+POOLED_CASES: Tuple[str, ...] = tuple(
+    name for name, _, params in _CORPUS_RECIPES
+    if params.get("scheduler_workers", 0) > 0
+)
+
 
 @dataclass
 class CaseResult:
@@ -100,6 +120,9 @@ class CaseResult:
 
     placement: str
     trace: str
+    #: Workers the run lost (``parallel_worker_failures`` or
+    #: ``shard_worker_failures``); not part of the comparison.
+    worker_failures: int = 0
 
 
 @dataclass
@@ -182,12 +205,15 @@ def run_corpus(
             continue
         design = _load_design(name, spec_kwargs, corpus_dir)
         tracer = SpanTracer()
-        placement = legalize(
+        result = legalize(
             design, LegalizerParams(**params_kwargs), tracer=tracer
-        ).placement
+        )
+        stats = result.mgl_stats
         results[name] = CaseResult(
-            placement=placement_digest(placement),
+            placement=placement_digest(result.placement),
             trace=tracer.structure_hash(),
+            worker_failures=stats.get("parallel_worker_failures", 0)
+            + stats.get("shard_worker_failures", 0),
         )
     return results
 
@@ -271,14 +297,15 @@ def tripwire_canary() -> bool:
 
 
 def _crashing_worker(conn: Any) -> None:
-    """Stand-in for ``worker_main`` that dies before the handshake."""
+    """Stand-in for a worker entry point that dies before the handshake."""
     conn.close()
 
 
 def _install_worker_crash() -> None:
-    from repro.core import parallel
+    from repro.core import parallel, shard
 
     parallel.worker_main = _crashing_worker  # type: ignore[assignment]
+    shard.shard_worker_main = _crashing_worker  # type: ignore[assignment]
 
 
 def install_perturbation(kind: str, salt: int) -> None:
@@ -304,7 +331,11 @@ def _child_main(args: argparse.Namespace) -> int:
     results = run_corpus(cases=args.cases or None, corpus_dir=corpus_dir)
     payload: Dict[str, Any] = {
         "results": {
-            name: {"placement": res.placement, "trace": res.trace}
+            name: {
+                "placement": res.placement,
+                "trace": res.trace,
+                "worker_failures": res.worker_failures,
+            }
             for name, res in sorted(results.items())
         },
         "canary_fired": (
@@ -349,7 +380,9 @@ def _spawn_child(
         data = json.loads(lines[-1])
         results = {
             str(name): CaseResult(
-                placement=str(res["placement"]), trace=str(res["trace"])
+                placement=str(res["placement"]),
+                trace=str(res["trace"]),
+                worker_failures=int(res["worker_failures"]),
             )
             for name, res in data["results"].items()
         }
@@ -505,6 +538,17 @@ def sanitize_main(argv: Optional[List[str]] = None) -> int:
                 if perturb == "tripwire" and report.error is None \
                         and report.canary_fired is not True:
                     row.error = "tripwire canary did not fire"
+                if perturb == "crash" and report.error is None:
+                    missed = [
+                        name for name in POOLED_CASES
+                        if name in report.results
+                        and report.results[name].worker_failures == 0
+                    ]
+                    if missed:
+                        row.error = (
+                            "crash stub reached no worker of "
+                            + ", ".join(missed)
+                        )
                 rows.append(row)
                 if row.error is not None:
                     internal = True
