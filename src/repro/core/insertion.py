@@ -86,11 +86,11 @@ class InsertionContext:
             positions (MGL, the paper's method); ``"current"`` measures
             from the cells' current positions (MLL [12], reproduced as a
             baseline) — this collapses curve types C/D back into A/B.
-        soa: optional shared :class:`repro.core.soa.SoAState` mirror of
-            the same occupancy.  When given, :meth:`evaluate` and
-            :meth:`target_cost_lower_bound` route through the
-            vectorized fast path (``eval_backend=vector``); results are
-            bit-identical to the scalar path, which remains the oracle
+        soa: optional shared :class:`repro.core.soa.SoAState` tables of
+            the design.  When given, gap enumeration and
+            :meth:`evaluate` route through the window-bounded fast path
+            (``eval_backend=vector``); results are bit-identical to the
+            scalar path, which remains the oracle
             (tests/test_soa_equivalence.py).
     """
 
@@ -135,14 +135,10 @@ class InsertionContext:
         # Per-row gap lists, memoized for the context's lifetime: the
         # occupancy is frozen while the context exists, so re-enumeration
         # (multi-row targets revisit row r for bottom rows r-h+1..r) can
-        # never observe a different list.  The memo also pins the Gap
-        # object identities, which the vector backend's per-row bound
-        # tables key on.
+        # never observe a different list.
         self._row_gaps: Dict[int, List[Gap]] = {}
         self._vector: Optional[VectorEvaluator] = (
-            VectorEvaluator(self, soa)
-            if soa is not None and soa.occupancy is occupancy
-            else None
+            VectorEvaluator(self, soa) if soa is not None else None
         )
 
     # ------------------------------------------------------------------
@@ -543,18 +539,9 @@ class InsertionContext:
 
         Uses the rough per-row compression interval; local-cell deltas can
         be negative (type C/D curves), so callers must allow a margin when
-        pruning with this bound.  Routed through the vector backend's
-        batch-computed per-row tables when one is attached; the values
-        are bit-identical either way.
+        pruning with this bound.  Both backends compute it per candidate
+        with this one formula.
         """
-        if self._vector is not None:
-            return self._vector.lower_bound(bottom_row, gaps)
-        return self.lower_bound_scalar(bottom_row, gaps)
-
-    def lower_bound_scalar(
-        self, bottom_row: int, gaps: Sequence[Gap]
-    ) -> float:
-        """The per-candidate reference form of the bound above."""
         lo = max(gap.lo_rough for gap in gaps)
         hi = min(gap.hi_rough for gap in gaps)
         x_dist = max(0.0, lo - self.gp_x, self.gp_x - hi)

@@ -60,9 +60,10 @@ class Occupancy:
         self._cells: List[List[int]] = [[] for _ in range(design.num_rows)]
         self._placed: Set[int] = set()
         # Monotone per-row mutation counters: every add/update_x/remove
-        # bumps the counter of each row the cell spans.  Caches derived
-        # from a row's contents (the row snapshots of repro.core.soa) stay
-        # valid exactly while the version they recorded is current.
+        # bumps the counter of each row the cell spans.  The parallel
+        # scheduler tags each task with its window rows' versions, so a
+        # worker's occupancy mirror proves itself in sync before it
+        # evaluates (repro.core.parallel).
         self._row_versions: List[int] = [0] * design.num_rows
         self._placed_view: Optional[FrozenSet[int]] = None
         self._widths = design.cell_widths
@@ -176,11 +177,10 @@ class Occupancy:
     def row_positions(self, row: int) -> Sequence[int]:
         """x positions of :meth:`row_cells`, parallel and x-sorted.
 
-        Together with :meth:`row_version` this is the sync surface the
-        structure-of-arrays mirror (repro.core.soa) snapshots from: a
-        row's arrays are rebuilt exactly when its version moved.  The
-        returned sequence is the live internal list — callers must not
-        mutate it and must not hold it across occupancy mutations.
+        The vector backend (repro.core.soa) bisects it for the cells
+        around a window.  The returned sequence is the live internal
+        list — callers must not mutate it and must not hold it across
+        occupancy mutations.
         """
         return self._xs[row]
 

@@ -161,12 +161,11 @@ def worker_main(conn: Connection) -> None:
             int(parent_versions[row]) - occupancy.row_version(row)
             for row in range(design.num_rows)
         ]
-        # Vector backend: one SoA mirror per worker, resolved once — the
-        # mirror's occupancy identity never changes here, and its per-row
-        # snapshots re-sync from row versions as journal deltas land, so
-        # every task in every batch reads fresh state through it.  None
-        # on the scalar backend.
-        soa = legalizer.soa_for(occupancy)
+        # Vector backend: the design tables, resolved once per worker.
+        # They hold no row state — evaluations read the mirror's rows
+        # live — so they stay valid as journal deltas land.  None on the
+        # scalar backend.
+        soa = legalizer.soa()
         conn.send(("ready",))
 
         while True:

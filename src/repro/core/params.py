@@ -86,9 +86,10 @@ class LegalizerParams:
             landing within this many rows of a band boundary is
             re-legalized full-die during reconciliation.
         eval_backend: insertion-evaluation backend.  ``"vector"`` (the
-            default) routes ``InsertionContext.evaluate`` through the
-            structure-of-arrays fast path (repro.core.soa): per-run
-            prefix-sum push analysis, vectorized lower bounds, and a
+            default) routes gap enumeration and
+            ``InsertionContext.evaluate`` through the flat-table fast
+            path (repro.core.soa): window-bounded gap walks, per-run
+            prefix-sum push analysis, the dominance cut-off, and a
             one-pass finish (curve sum, site minimization and the
             planned rail/IO guard walk, all on plain lists).
             ``"scalar"`` keeps the original per-candidate walk and is

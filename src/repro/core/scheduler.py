@@ -216,11 +216,9 @@ class WindowScheduler:
         Multi-member batches go to the process pool while it has a live
         worker.  Every member it loses, and every member of a batch
         without a pool, is evaluated here through
-        :meth:`MGLegalizer.evaluate_insert_many`, so those members share
-        the legalizer's SoA mirror (row snapshots built for one window
-        are reused by later members).  The batch width lands in the
-        ``mgl.batch_width`` histogram here, once per batch, so the
-        distribution is the same for any worker count.
+        :meth:`MGLegalizer.evaluate_insert_many`.  The batch width lands
+        in the ``mgl.batch_width`` histogram here, once per batch, so
+        the distribution is the same for any worker count.
         """
         legalizer = self.legalizer
         tracer = legalizer.observer.tracer

@@ -1,14 +1,15 @@
-"""Bit-equality of the vectorized (SoA) backend against the scalar oracle.
+"""Bit-equality of the vector backend against the scalar oracle.
 
 ``eval_backend=vector`` routes gap enumeration and push analysis
-through :mod:`repro.core.soa`'s structure-of-arrays fast paths, and
-finishes every candidate in one pass over plain lists: the summed
-curve's forward checkpoints, the site minimization, and the guard's
-planned rail/IO walk (:meth:`RoutabilityGuard.adjust_x_planned`).  The
-scalar backend stays in the tree as the oracle, and the whole
-optimization is only legitimate while the two are *bit-identical* —
-same placements, same ``insertions_evaluated`` counts, candidate for
-candidate.  These tests pin that contract:
+through :mod:`repro.core.soa`'s window-bounded walks over the
+occupancy's live row lists and per-run prefix-sum tables, and finishes
+every candidate in one pass over plain lists: the summed curve's
+forward checkpoints, the site minimization, and the guard's planned
+rail/IO walk (:meth:`RoutabilityGuard.adjust_x_planned`).  The scalar
+backend stays in the tree as the oracle, and the whole optimization is
+only legitimate while the two are *bit-identical* — same placements,
+same ``insertions_evaluated`` counts, candidate for candidate.  These
+tests pin that contract:
 
 * an end-to-end Hypothesis property over random mixed-height designs
   with fences, placement blockages, a P/G grid, pinned cell types and
@@ -17,8 +18,11 @@ candidate.  These tests pin that contract:
   against :meth:`InsertionContext.evaluate_scalar` on live mid-run
   occupancies, with the routability guard live;
 * gap-enumeration equality of :meth:`VectorEvaluator.gaps_in_segment`
-  against the scalar ``_gaps_in_segment`` walk;
-* the batch-computed candidate lower bound against its scalar form;
+  against the scalar segment-wide ``_gaps_in_segment`` walk;
+* both of the above at the chip window and at MGL's first and third
+  windows around the target, whose edges cut through row segments, and
+  on a hand-built row whose cells sit left of, across, inside and right
+  of a window;
 * the dominance cut-off: per candidate, it may only drop a candidate
   that costs more than the incumbent; on whole runs, both of its tests
   fire and the placement and evaluation count stay the scalar ones.
@@ -31,7 +35,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core.insertion import InsertionContext
-from repro.core.mgl import LegalizationError, MGLegalizer, mgl_cell_order
+from repro.core.mgl import (
+    WINDOW_EXPAND,
+    LegalizationError,
+    MGLegalizer,
+    mgl_cell_order,
+)
 from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
 from repro.core.refine import RoutabilityGuard
@@ -188,16 +197,33 @@ def _mid_run_states(
     return design, occupancy, order[split:]
 
 
+def _windows(design: Design, target: int) -> "list[Rect]":
+    """The chip window plus MGL's first and third windows around ``target``.
+
+    The smaller two have edges inside row segments, where the vector
+    backend's window-bounded walks cut the segment.
+    """
+    legalizer = MGLegalizer(design, LegalizerParams())
+    return [design.chip_rect] + [
+        legalizer.initial_window(target, scale)
+        for scale in (1.0, WINDOW_EXPAND ** 2)
+    ]
+
+
 def _context_pair(
-    design: Design, occupancy: Occupancy, target: int
+    design: Design,
+    occupancy: Occupancy,
+    target: int,
+    window: "Rect | None" = None,
 ) -> "tuple[InsertionContext, InsertionContext]":
     """(scalar context, vector context) over the same frozen occupancy."""
-    window = design.chip_rect
+    if window is None:
+        window = design.chip_rect
     guard = RoutabilityGuard(design, LegalizerParams())
     scalar = InsertionContext(design, occupancy, target, window, guard=guard)
     vector = InsertionContext(
         design, occupancy, target, window, guard=guard,
-        soa=SoAState(design, occupancy),
+        soa=SoAState(design),
     )
     assert vector._vector is not None
     return scalar, vector
@@ -232,15 +258,8 @@ class TestPerCandidateEquality:
         assume(state is not None)
         design, occupancy, remaining = state
         assume(remaining)
-        scalar, vector = _context_pair(design, occupancy, remaining[0])
-        evaluator = vector._vector
-        for row in range(design.num_rows):
-            for segment in design.segments_in_row(row):
-                expected = scalar._gaps_in_segment(row, segment)
-                got = evaluator.gaps_in_segment(row, segment)
-                assert [_gap_fields(g) for g in got] == [
-                    _gap_fields(g) for g in expected
-                ], (row, segment)
+        for window in _windows(design, remaining[0]):
+            _assert_same_gaps(design, occupancy, remaining[0], window)
 
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -253,54 +272,123 @@ class TestPerCandidateEquality:
         margins = (0.5, LegalizerParams().prune_margin)
         checked = 0
         for target in remaining[:3]:
-            scalar, vector = _context_pair(design, occupancy, target)
-            evaluator = vector._vector
-            for bottom_row, gaps in vector.enumerate_insertion_points():
-                expected = vector.evaluate_scalar(bottom_row, gaps)
-                _assert_same(vector.evaluate(bottom_row, gaps), expected)
-                # With an incumbent, the dominance cut-off may drop only
-                # a candidate that costs more than it.
-                bound = vector.target_cost_lower_bound(bottom_row, gaps)
-                base = bound if expected is None else expected.cost
-                for incumbent in (base, base - 1e-3, base + 1e-3):
-                    for margin in margins:
-                        got = evaluator.evaluate(
-                            bottom_row, gaps, bound, incumbent, margin
-                        )
-                        if got is None and expected is not None:
-                            assert expected.cost > incumbent, (
-                                target, bottom_row, incumbent, margin
-                            )
-                        else:
-                            _assert_same(got, expected)
-                checked += 1
-            # The scalar context enumerates the identical candidate set.
-            assert [
-                (row, tuple(_gap_fields(g) for g in gaps))
-                for row, gaps in scalar.enumerate_insertion_points()
-            ] == [
-                (row, tuple(_gap_fields(g) for g in gaps))
-                for row, gaps in vector.enumerate_insertion_points()
-            ]
+            for window in _windows(design, target):
+                checked += _assert_same_candidates(
+                    design, occupancy, target, window, margins
+                )
         assume(checked)
 
-    @settings(max_examples=5, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 10_000))
-    def test_lower_bound_matches_scalar(self, seed):
-        state = _mid_run_states(seed)
-        assume(state is not None)
-        design, occupancy, remaining = state
-        assume(remaining)
-        _, vector = _context_pair(design, occupancy, remaining[0])
-        evaluator = vector._vector
-        checked = 0
-        for bottom_row, gaps in vector.enumerate_insertion_points():
-            assert evaluator.lower_bound(bottom_row, gaps) == (
-                vector.lower_bound_scalar(bottom_row, gaps)
+    def test_window_edges_on_a_hand_built_row(self):
+        """Cells left of, across, inside and right of a window.
+
+        Row 1 has walls wholly outside the window next to its edges,
+        with edge rules reaching from them to the local cells; row 2 has
+        cells straddling both window edges and a 2-row cell inside the
+        window's x-range that pokes out of it vertically.  The
+        window-bounded walks must find every one of these walls.
+        """
+        ruled = CellType("R", 2, 1, left_edge=1, right_edge=1)
+        plain = CellType("P", 2, 1)
+        wide = CellType("W", 3, 1, left_edge=1, right_edge=1)
+        double = CellType("D", 2, 2)
+        tech = Technology(cell_types=[ruled, plain, wide, double],
+                          edge_spacing=EdgeSpacingTable([(1, 1, 2)]))
+        design = Design(tech, num_rows=4, num_sites=60)
+        window = Rect(20.5, 1, 40.5, 3)
+        layout = [
+            # Row 1: out-of-window walls at 17 and 43, both ruled.
+            (plain, 4, 1), (wide, 17, 1), (ruled, 22, 1), (plain, 26, 1),
+            (ruled, 36, 1), (ruled, 43, 1), (plain, 52, 1),
+            # Row 2: straddlers at 19 and 39, a 2-row wall at 30.
+            (plain, 3, 2), (wide, 19, 2), (ruled, 24, 2), (double, 30, 2),
+            (plain, 34, 2), (wide, 39, 2), (plain, 50, 2),
+        ]
+        placed = [
+            design.add_cell(f"c{index}", cell_type, x, y)
+            for index, (cell_type, x, y) in enumerate(layout)
+        ]
+        target = design.add_cell("t", ruled, 30, 1)
+        placement = Placement(design)
+        occupancy = Occupancy(design, placement)
+        for cell, (_type, x, y) in zip(placed, layout):
+            placement.move(cell, x, y)
+            occupancy.add(cell)
+        margins = (0.5, LegalizerParams().prune_margin)
+        for frame in (window, design.chip_rect):
+            gaps = _assert_same_gaps(design, occupancy, target, frame)
+            assert gaps, frame
+            assert _assert_same_candidates(
+                design, occupancy, target, frame, margins
             )
-            checked += 1
-        assume(checked)
+        _, vector = _context_pair(design, occupancy, target, window)
+        walls = {
+            (gap.row, gap.left_wall_cell, gap.right_wall_cell)
+            for gap in vector.gaps_in_row(1) + vector.gaps_in_row(2)
+        }
+        assert walls == {
+            (1, placed[1], placed[5]),
+            (2, placed[8], placed[10]),
+            (2, placed[10], placed[12]),
+        }
+
+
+def _assert_same_gaps(
+    design: Design, occupancy: Occupancy, target: int, window: Rect
+) -> int:
+    """Both backends list the same gaps in every segment; returns the count."""
+    scalar, vector = _context_pair(design, occupancy, target, window)
+    evaluator = vector._vector
+    count = 0
+    for row in range(design.num_rows):
+        for segment in design.segments_in_row(row):
+            expected = scalar._gaps_in_segment(row, segment)
+            got = evaluator.gaps_in_segment(row, segment)
+            assert [_gap_fields(g) for g in got] == [
+                _gap_fields(g) for g in expected
+            ], (row, segment, window)
+            count += len(got)
+    return count
+
+
+def _assert_same_candidates(
+    design: Design,
+    occupancy: Occupancy,
+    target: int,
+    window: Rect,
+    margins: "tuple[float, ...]",
+) -> int:
+    """Per-candidate equality in one window; returns the candidate count."""
+    scalar, vector = _context_pair(design, occupancy, target, window)
+    evaluator = vector._vector
+    checked = 0
+    for bottom_row, gaps in vector.enumerate_insertion_points():
+        expected = vector.evaluate_scalar(bottom_row, gaps)
+        _assert_same(vector.evaluate(bottom_row, gaps), expected)
+        # With an incumbent, the dominance cut-off may drop only a
+        # candidate that costs more than it.
+        bound = vector.target_cost_lower_bound(bottom_row, gaps)
+        base = bound if expected is None else expected.cost
+        for incumbent in (base, base - 1e-3, base + 1e-3):
+            for margin in margins:
+                got = evaluator.evaluate(
+                    bottom_row, gaps, bound, incumbent, margin
+                )
+                if got is None and expected is not None:
+                    assert expected.cost > incumbent, (
+                        target, window, bottom_row, incumbent, margin
+                    )
+                else:
+                    _assert_same(got, expected)
+        checked += 1
+    # The scalar context enumerates the identical candidate set.
+    assert [
+        (row, tuple(_gap_fields(g) for g in gaps))
+        for row, gaps in scalar.enumerate_insertion_points()
+    ] == [
+        (row, tuple(_gap_fields(g) for g in gaps))
+        for row, gaps in vector.enumerate_insertion_points()
+    ]
+    return checked
 
 
 def test_finish_refuses_sites_left_of_the_summed_anchor():
