@@ -1,5 +1,7 @@
 """Tests for ECO-style incremental legalization."""
 
+import copy
+
 import pytest
 
 from repro.checker import check_legal
@@ -83,3 +85,36 @@ class TestInsertNew:
         eco = IncrementalLegalizer(design, placement, params)
         eco.insert_new(new)
         assert check_legal(placement).is_legal
+
+    def test_cells_added_after_an_evaluation(self, small_design):
+        """Cells added once the legalizer has evaluated still get placed.
+
+        ``relegalize`` builds the vector backend's design tables before
+        the cells exist; inserting the second new cell then evaluates a
+        window holding the first.  The vector backend must place them
+        exactly where the scalar oracle does.
+        """
+        placements = {}
+        for backend in ("vector", "scalar"):
+            design = copy.deepcopy(small_design)
+            params = LegalizerParams(
+                routability=False, scheduler_capacity=1, eval_backend=backend
+            )
+            placement = MGLegalizer(design, params).run()
+            eco = IncrementalLegalizer(design, placement, params)
+            eco.relegalize(design.movable_cells()[:3])
+            new_cells = [
+                design.add_cell(
+                    f"eco_add{index}", design.technology.type_named("S2"),
+                    40.0 + 2 * index, 9.0,
+                )
+                for index in range(2)
+            ]
+            for _ in new_cells:
+                placement.x.append(0)
+                placement.y.append(0)
+            for cell in new_cells:
+                assert eco.insert_new(cell).placed == [cell]
+            assert check_legal(placement).is_legal
+            placements[backend] = (list(placement.x), list(placement.y))
+        assert placements["vector"] == placements["scalar"]
