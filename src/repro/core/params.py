@@ -89,7 +89,8 @@ class LegalizerParams:
             default) routes gap enumeration and
             ``InsertionContext.evaluate`` through the flat-table fast
             path (repro.core.soa): window-bounded gap walks, per-run
-            prefix-sum push analysis, the dominance cut-off, and a
+            prefix-sum push analysis, memoized per-cell push summaries
+            for mixed-height candidates, the dominance cut-off, and a
             one-pass finish (curve sum, site minimization and the
             planned rail/IO guard walk, all on plain lists).
             ``"scalar"`` keeps the original per-candidate walk and is

@@ -25,15 +25,27 @@ whole push analysis collapses into integer prefix sums over the run:
 Every quantity is integer arithmetic, so the results are bit-identical
 to the scalar walk regardless of evaluation order; the scalar path's
 ``1e-9`` wall tolerance is exact on integers (``ext < x - 1e-9`` iff
-``ext < x``).  Candidates outside the fast shape (multi-row targets,
-runs containing multi-row or out-of-segment cells) fall back to the
-scalar evaluator, keeping the two backends' outputs — placements *and*
-``insertions_evaluated`` counts — provably equal; the property is
-enforced by tests/test_soa_equivalence.py with ``eval_backend=scalar``
-as the oracle.  Given the best-first walk's incumbent,
+``ext < x``).
+
+Candidates outside the fast shape (multi-row targets, runs containing
+multi-row or out-of-segment cells) push a DAG, not a chain: multi-row
+cells tie rows together.  Its extremes are still gap-independent,
+because every local, same-segment neighbor of a pushed cell is pushed
+too, so a cell's push closure is the same whichever gap pushes it.  The
+evaluator memoizes one push summary per (local cell, side) for the
+context's lifetime — the cell's extreme, whether its closure fails, and
+an upper bound on what the closure saves by moving toward GP — built
+bottom-up in x order.  The seeds' summaries give both push limits
+exactly, so an infeasible candidate, an empty site range or a provable
+loser is decided before any walk; survivors walk their push sets only
+for the chain offsets, in the scalar assignment order.  The two
+backends' outputs — placements *and* ``insertions_evaluated`` counts —
+stay provably equal; the property is enforced by
+tests/test_soa_equivalence.py with ``eval_backend=scalar`` as the
+oracle.  Given the best-first walk's incumbent,
 :meth:`VectorEvaluator.evaluate` also skips the push or the finish of
-a candidate that two lower bounds prove costlier (the dominance
-cut-off); such a candidate could not have won, so the equality holds.
+a candidate that lower bounds prove costlier (the dominance cut-off);
+such a candidate could not have won, so the equality holds.
 
 Window-bounded walks: gaps and run tables involve only window-local
 cells, which lie inside the window, so gap enumeration and the run
@@ -175,6 +187,34 @@ class _SegTable:
         self.pos = pos
 
 
+class _PushSummary:
+    """What pushing one local cell to one side does, whichever gap pushes it.
+
+    Every local, same-segment neighbor of a pushed cell is pushed too,
+    so a cell's push closure, and with it the three values below, does
+    not depend on the candidate:
+
+    * ``extreme``: the cell's wall-limited extreme, step 3 of the scalar
+      ``_push_side``;
+    * ``savings``: an upper bound on what the closure saves by moving
+      toward GP, its own ``w * x_unit * max(0, toward)`` plus its pushed
+      neighbors' bounds (a cell two neighbors reach counts twice);
+    * ``steps``: ``(pushed neighbor, pitch)`` in the scalar walk's row
+      order, the edges of the chain-offset pass.
+
+    A closure that fails has no summary: the memo holds None for it.
+    """
+
+    __slots__ = ("extreme", "savings", "steps")
+
+    def __init__(
+        self, extreme: int, savings: float, steps: List[Tuple[int, int]]
+    ):
+        self.extreme = extreme
+        self.savings = savings
+        self.steps = steps
+
+
 class VectorEvaluator:
     """Per-context fast evaluation over one :class:`SoAState`.
 
@@ -187,6 +227,8 @@ class VectorEvaluator:
     * per-(row, segment) run tables for the O(1) fast-path push
       analysis (:meth:`evaluate`), built over the window's slice of the
       segment;
+    * per-(local cell, side) push summaries for every other candidate
+      (:class:`_PushSummary`, :meth:`_summarize`), built on first use;
     * the dominance cut-off's savings cap and per-segment bound slack
       (see :meth:`evaluate`).
     """
@@ -196,6 +238,11 @@ class VectorEvaluator:
         self.soa = soa
         self._slices: Dict[Tuple[int, int], _Slice] = {}
         self._segments: Dict[Tuple[int, int], _SegTable] = {}
+        # Push summaries per side (+1, -1): local cell -> summary, or
+        # None when its push closure fails.
+        self._summaries: Dict[int, Dict[int, Optional[_PushSummary]]] = {
+            +1: {}, -1: {},
+        }
         # The savings cap, and the sites by which a segment's rough gap
         # bounds may overstate the target's reach (absent = 0); see
         # evaluate().
@@ -236,11 +283,12 @@ class VectorEvaluator:
         """Exact evaluation of one candidate on the array backend.
 
         The push analysis comes from the O(1) run tables when the
-        candidate fits the fast shape and from the scalar transitive
-        walk otherwise (same offsets, same limits either way); every
-        candidate then finishes through :meth:`_finish_fast`, which
-        assembles the summed displacement curve directly instead of
-        materializing per-cell curve objects.
+        candidate fits the fast shape; otherwise the limits come from
+        the seeds' push summaries and the offsets from a walk of the
+        push set (same offsets, same limits either way).  Every
+        candidate that may win then finishes through
+        :meth:`_finish_fast`, which assembles the summed displacement
+        curve directly instead of materializing per-cell curve objects.
 
         Given the ``incumbent`` cost of the best-first walk (with the
         candidate's heap ``bound`` and the walk's ``margin``), a
@@ -251,11 +299,14 @@ class VectorEvaluator:
         * before the push, when ``bound`` minus the window's savings
           cap (:meth:`_savings_cap`) and minus the segment slack of the
           rough gap bounds still exceeds the incumbent;
-        * after the push, when the target's exact cost over the site
-          range ``[ceil(lo), floor(hi)]`` minus what the pushed cells
-          could save (:meth:`_loses_after_push`) exceeds it.
+        * once the push limits are known, when the target's exact cost
+          over the site range ``[ceil(lo), floor(hi)]`` minus what the
+          pushed cells could save exceeds it: their per-cell savings on
+          the run tables (:meth:`_loses_after_push`), the seeds'
+          summed summary bounds off them, before any walk
+          (:meth:`_summary_limits`).
 
-        Both tests need a margin of :data:`CUTOFF_TOLERANCE`, so ties
+        Every test needs a margin of :data:`CUTOFF_TOLERANCE`, so ties
         are always finished.  The defaults disable them: the call is
         then exhaustive, candidate for candidate equal to
         :meth:`InsertionContext.evaluate_scalar`.
@@ -265,31 +316,39 @@ class VectorEvaluator:
             gaps, bound, threshold, margin
         ):
             return None
-        sides = self._push(gaps)
+        sides = self._push(bottom_row, gaps, threshold)
         if sides is None:
-            return None
-        if threshold < math.inf and self._loses_after_push(
-            bottom_row, sides, threshold
-        ):
             return None
         return self._finish_fast(bottom_row, gaps, *sides)
 
-    def _push(self, gaps: Sequence["Gap"]) -> Optional[Sides]:
-        """Both push sides of a candidate, or None when it is infeasible."""
+    def _push(
+        self, bottom_row: int, gaps: Sequence["Gap"], threshold: float
+    ) -> Optional[Sides]:
+        """Both push sides of a candidate that may still win, else None.
+
+        None means the candidate is infeasible (as in the scalar walk)
+        or its cost provably exceeds ``threshold``.  Candidates outside
+        the run tables' shape are decided from the seeds' push summaries
+        first (:meth:`_summary_limits`); only the survivors walk their
+        push sets, for the chain offsets.
+        """
         if not self._multi_row and len(gaps) == 1:
-            handled, fast_sides = self._sides(gaps[0])
+            handled, sides = self._sides(gaps[0])
             if handled:
-                return fast_sides  # None where the scalar walk bails.
-        right_info = self._push_fast(gaps, +1)
-        if right_info is None:
+                if sides is None or (
+                    threshold < math.inf
+                    and self._loses_after_push(bottom_row, sides, threshold)
+                ):
+                    return None
+                return sides
+        limits = self._summary_limits(bottom_row, gaps, threshold)
+        if limits is None:
             return None
-        left_info = self._push_fast(gaps, -1)
-        if left_info is None:
-            return None
-        right_offsets, right_limit = right_info
-        left_offsets, left_limit = left_info
+        right_offsets = self._push_fast(gaps, +1)
+        left_offsets = self._push_fast(gaps, -1)
         if set(right_offsets) & set(left_offsets):
             return None  # A cell would be pushed both ways.
+        right_limit, left_limit = limits
         return right_offsets, right_limit, left_offsets, left_limit
 
     # ------------------------------------------------------------------
@@ -385,18 +444,11 @@ class VectorEvaluator:
         hi_site = math.floor(right_limit)
         if lo_site > hi_site:
             return True  # No site at all; the finish returns None.
-        context = self.context
-        gp_x = context.gp_x
-        if gp_x < lo_site:
-            x_dist = lo_site - gp_x
-        elif gp_x > hi_site:
-            x_dist = gp_x - hi_site
-        else:
-            x_dist = 0.0
-        lower = self._wt * abs(bottom_row - context.gp_y) + self._wt_x * x_dist
+        lower = self._target_floor(bottom_row, lo_site, hi_site)
         if lower <= threshold:
             return False
         if self._use_gp:
+            context = self.context
             px = context.occupancy.placement.x
             gp_of = context.design.gp_x
             weight_of = context.weight_of
@@ -415,77 +467,267 @@ class VectorEvaluator:
                         return False
         return True
 
-    def _push_fast(
-        self, gaps: Sequence["Gap"], side: int
-    ) -> Optional[Tuple[Dict[int, int], int]]:
-        """Flat-data mirror of :meth:`InsertionContext._push_side`.
-
-        Runs the identical BFS / chain-offset / extremes / limit passes
-        — every quantity is the same Python int the scalar walk produces
-        (edge gaps come from the type-code matrix, which tabulates the
-        same spacing-table lookups ``edge_gap`` performs) — but through
-        plain list indexing instead of method and dict-cache calls.  The
-        offsets dict is built by the same assignment sequence, so its
-        insertion order (part of the float-summation contract downstream)
-        matches the scalar dict exactly.  Shares the context's neighbor
-        and locality caches, which are populated with identical values.
-        """
+    def _target_floor(
+        self, bottom_row: int, lo_site: int, hi_site: int
+    ) -> float:
+        """The target's own cost at the site of ``[lo_site, hi_site]``
+        nearest ``gp_x``: a lower bound on what the finish can pay for it."""
         context = self.context
-        soa = self.soa
-        occupancy = context.occupancy
-        placement = occupancy.placement
-        px = placement.x
-        py = placement.y
-        widths = self._widths
-        heights = self._heights
-        fixed = soa.fixed
-        codes = soa.type_codes
-        egm = soa.edge_gaps
+        gp_x = context.gp_x
+        if gp_x < lo_site:
+            x_dist = lo_site - gp_x
+        elif gp_x > hi_site:
+            x_dist = gp_x - hi_site
+        else:
+            x_dist = 0.0
+        return self._wt * abs(bottom_row - context.gp_y) + self._wt_x * x_dist
+
+    # ------------------------------------------------------------------
+    # Push summaries
+    # ------------------------------------------------------------------
+
+    def _summary_limits(
+        self, bottom_row: int, gaps: Sequence["Gap"], threshold: float
+    ) -> Optional[Tuple[int, int]]:
+        """``(right limit, left limit)`` of a candidate that may still win.
+
+        Both limits are the scalar walk's, read off the seeds' push
+        summaries.  None decides the candidate before any walk: a side's
+        push does not fit, the site range ``[ceil(lo), floor(hi)]`` is
+        empty, or the target's cost over that range minus the summed
+        savings of both sides still exceeds ``threshold``.
+        """
+        right = self._summary_side(gaps, +1)
+        if right is None:
+            return None
+        left = self._summary_side(gaps, -1)
+        if left is None:
+            return None
+        right_limit, right_savings = right
+        left_limit, left_savings = left
+        lo_site = math.ceil(left_limit)
+        hi_site = math.floor(right_limit)
+        if lo_site > hi_site:
+            return None  # No site at all; the finish would return None.
+        if (
+            threshold < math.inf
+            and self._target_floor(bottom_row, lo_site, hi_site)
+            - (right_savings + left_savings) > threshold
+        ):
+            return None
+        return right_limit, left_limit
+
+    def _summary_side(
+        self, gaps: Sequence["Gap"], side: int
+    ) -> Optional[Tuple[int, float]]:
+        """``(limit, savings)`` of one push side, or None when it fails.
+
+        The limit is step 4 of the scalar ``_push_side`` over the seeds'
+        extremes; the savings sum each distinct seed's bound.
+        """
+        memo = self._summaries[side]
+        seeds = [
+            (gap.right_cell if side > 0 else gap.left_cell) for gap in gaps
+        ]
+        missing = [
+            seed for seed in seeds if seed is not None and seed not in memo
+        ]
+        if missing:
+            self._summarize(missing, side)
+        codes = self.soa.type_codes
+        egm = self.soa.edge_gaps
         tcode = self._target_code
         width_t = self._width_t
-        window = context.window
-        wxlo = window.xlo
-        wxhi = window.xhi
-        wylo = window.ylo
-        wyhi = window.yhi
-        local_cache = context._local_cache
+        limit: Optional[int] = None
+        savings = 0.0
+        counted: List[int] = []
+        for gap, seed in zip(gaps, seeds):
+            if seed is not None:
+                summary = memo[seed]
+                if summary is None:
+                    return None
+                if seed not in counted:
+                    counted.append(seed)
+                    savings += summary.savings
+                if side > 0:
+                    value = summary.extreme - egm[tcode][codes[seed]] - width_t
+                else:
+                    value = (
+                        summary.extreme
+                        + self._widths[seed]
+                        + egm[codes[seed]][tcode]
+                    )
+            elif side > 0:
+                wall = gap.right_wall_cell
+                wall_gap = egm[tcode][codes[wall]] if wall is not None else 0
+                value = gap.right_bound - wall_gap - width_t
+            else:
+                wall = gap.left_wall_cell
+                wall_gap = egm[codes[wall]][tcode] if wall is not None else 0
+                value = gap.left_bound + wall_gap
+            if limit is None or (value < limit if side > 0 else value > limit):
+                limit = value
+        assert limit is not None
+        return limit, savings
+
+    def _summarize(self, roots: Sequence[int], side: int) -> None:
+        """Memoize the push summaries of ``roots`` and their push closures.
+
+        Collects the closure cells not summarized yet (a stack walk
+        through local, same-segment neighbors, as the scalar BFS), then
+        summarizes them outermost first: a pushed cell's neighbors lie
+        strictly further out, so each summary reads finished ones, with
+        no recursion however long the chain.  A cell's summary mirrors
+        the scalar walk's step 3 for it: its wall-limited extreme, a
+        failure when one of its rows has no segment at its x, it already
+        lies past its extreme, or a pushed neighbor's closure fails, and
+        its own savings toward GP plus its pushed neighbors' bounds.
+        """
+        context = self.context
+        memo = self._summaries[side]
+        occupancy = context.occupancy
+        px = occupancy.placement.x
         ncache = context._neighbor_cache
         seg_neighbors = context._segment_neighbors
+        is_local = context.is_local
 
-        # 1. Push set by BFS through local, same-segment neighbors.
+        # Cell -> its (row, neighbor, segment) list, for each closure
+        # cell without a summary.
+        found: Dict[int, List[Tuple[int, Optional[int], Optional[Segment]]]]
+        found = {}
+        stack = list(roots)
+        while stack:
+            cell = stack.pop()
+            if cell in found:
+                continue
+            key = (cell, side)
+            nb = ncache.get(key)
+            if nb is None:
+                nb = seg_neighbors(cell, side)
+                ncache[key] = nb
+            found[cell] = nb
+            for _row, neighbor, _segment in nb:
+                if (
+                    neighbor is not None
+                    and neighbor not in found
+                    and neighbor not in memo
+                    and is_local(neighbor)
+                ):
+                    stack.append(neighbor)
+
+        widths = self._widths
+        codes = self.soa.type_codes
+        egm = self.soa.edge_gaps
+        gp_of = context.design.gp_x
+        weight_of = context.weight_of
+        x_unit = context.x_unit
+        use_gp = self._use_gp
+        # Local cells, and only they, are summarized: a neighbor in the
+        # memo is one the push moves too.
+        for cell in sorted(found, key=lambda c: (px[c], c), reverse=side > 0):
+            x = px[cell]
+            w_c = widths[cell]
+            ccode = codes[cell]
+            toward = gp_of[cell] - x if side > 0 else x - gp_of[cell]
+            savings: float = (
+                weight_of(cell) * x_unit * toward
+                if use_gp and toward > 0
+                else 0.0
+            )
+            steps: List[Tuple[int, int]] = []
+            best: Optional[int] = None
+            failed = False
+            for row, neighbor, segment in found[cell]:
+                if segment is None:
+                    failed = True
+                    break
+                if neighbor is not None:
+                    ncode = codes[neighbor]
+                    if neighbor in memo:
+                        sub = memo[neighbor]
+                        if sub is None:
+                            failed = True
+                            break
+                        base = sub.extreme
+                        if not steps or all(
+                            pushed != neighbor for pushed, _ in steps
+                        ):
+                            savings += sub.savings
+                            steps.append((
+                                neighbor,
+                                w_c + egm[ccode][ncode] if side > 0
+                                else widths[neighbor] + egm[ncode][ccode],
+                            ))
+                    else:
+                        base = px[neighbor]
+                    if side > 0:
+                        b = base - egm[ccode][ncode] - w_c
+                    else:
+                        b = base + widths[neighbor] + egm[ncode][ccode]
+                elif side > 0:
+                    limit = segment.x_hi
+                    outside = occupancy.right_neighbor(row, segment.x_hi)
+                    if outside is not None:
+                        lim2 = px[outside] - egm[ccode][codes[outside]]
+                        if lim2 < limit:
+                            limit = lim2
+                    b = limit - w_c
+                else:
+                    limit = segment.x_lo
+                    outside = occupancy.left_neighbor(row, segment.x_lo)
+                    if outside is not None:
+                        lim2 = (
+                            px[outside]
+                            + widths[outside]
+                            + egm[codes[outside]][ccode]
+                        )
+                        if lim2 > limit:
+                            limit = lim2
+                    b = limit
+                if best is None or (b < best if side > 0 else b > best):
+                    best = b
+            if failed:
+                memo[cell] = None
+                continue
+            assert best is not None
+            if best < x if side > 0 else best > x:
+                memo[cell] = None  # Past its extreme: it cannot stay put.
+            else:
+                memo[cell] = _PushSummary(best, savings, steps)
+
+    def _push_fast(self, gaps: Sequence["Gap"], side: int) -> Dict[int, int]:
+        """Chain offsets of one push side, as :meth:`InsertionContext._push_side`.
+
+        Runs the scalar BFS and chain-offset passes over the seeds' push
+        summaries, which list each pushed cell's pushed neighbors with
+        their pitches in the scalar walk's row order: every offset is the
+        same Python int, and the dict is built by the same assignment
+        sequence, so its insertion order (part of the float-summation
+        contract downstream) matches the scalar dict exactly.  The
+        extremes and the limit come from the summaries
+        (:meth:`_summary_side`), which the caller has already checked,
+        so no pushed cell's closure fails.
+        """
+        memo = self._summaries[side]
+        px = self.context.occupancy.placement.x
+        widths = self._widths
+        codes = self.soa.type_codes
+        egm = self.soa.edge_gaps
+        tcode = self._target_code
+
+        # 1. Push set by BFS through the pushed neighbors.
         seeds = [
             (gap.right_cell if side > 0 else gap.left_cell) for gap in gaps
         ]
         push_set = set(c for c in seeds if c is not None)
         frontier = list(push_set)
         while frontier:
-            cell = frontier.pop()
-            key = (cell, side)
-            nb = ncache.get(key)
-            if nb is None:
-                nb = seg_neighbors(cell, side)
-                ncache[key] = nb
-            for _row, neighbor, _segment in nb:
-                if neighbor is None or neighbor in push_set:
-                    continue
-                loc = local_cache.get(neighbor)
-                if loc is None:
-                    if fixed[neighbor]:
-                        loc = False
-                    else:
-                        nx = px[neighbor]
-                        ny = py[neighbor]
-                        loc = (
-                            wxlo <= nx
-                            and nx + widths[neighbor] <= wxhi
-                            and wylo <= ny
-                            and ny + heights[neighbor] <= wyhi
-                        )
-                    local_cache[neighbor] = loc
-                if not loc:
-                    continue
-                push_set.add(neighbor)
-                frontier.append(neighbor)
+            summary = memo[frontier.pop()]
+            assert summary is not None
+            for neighbor, _step in summary.steps:
+                if neighbor not in push_set:
+                    push_set.add(neighbor)
+                    frontier.append(neighbor)
 
         ordered = sorted(push_set, key=lambda c: (px[c], c))
         if side < 0:
@@ -498,7 +740,7 @@ class VectorEvaluator:
             if seed is None:
                 continue
             if side > 0:
-                off = width_t + egm[tcode][codes[seed]]
+                off = self._width_t + egm[tcode][codes[seed]]
             else:
                 off = widths[seed] + egm[codes[seed]][tcode]
             prev = offsets.get(seed, 0)
@@ -507,103 +749,13 @@ class VectorEvaluator:
             base = offsets.get(cell)
             if base is None:
                 offsets[cell] = base = 0
-            ccode = codes[cell]
-            w_c = widths[cell]
-            for _row, neighbor, _segment in ncache[(cell, side)]:
-                if neighbor is None or neighbor not in push_set:
-                    continue
-                if side > 0:
-                    step = w_c + egm[ccode][codes[neighbor]]
-                else:
-                    step = widths[neighbor] + egm[codes[neighbor]][ccode]
+            summary = memo[cell]
+            assert summary is not None
+            for neighbor, step in summary.steps:
                 cand = base + step
                 if cand > offsets.get(neighbor, 0):
                     offsets[neighbor] = cand
-
-        # 3. Extreme positions against walls (processed inward).
-        extreme: Dict[int, int] = {}
-        for cell in reversed(ordered):
-            w_c = widths[cell]
-            ccode = codes[cell]
-            best: Optional[int] = None
-            for row, neighbor, segment in ncache[(cell, side)]:
-                if segment is None:
-                    return None
-                if side > 0:
-                    if neighbor is not None and neighbor in push_set:
-                        b = extreme[neighbor] - egm[ccode][codes[neighbor]] - w_c
-                    elif neighbor is not None:
-                        b = px[neighbor] - egm[ccode][codes[neighbor]] - w_c
-                    else:
-                        limit = segment.x_hi
-                        outside = occupancy.right_neighbor(row, segment.x_hi)
-                        if outside is not None:
-                            lim2 = px[outside] - egm[ccode][codes[outside]]
-                            if lim2 < limit:
-                                limit = lim2
-                        b = limit - w_c
-                    if best is None or b < best:
-                        best = b
-                else:
-                    if neighbor is not None and neighbor in push_set:
-                        b = (
-                            extreme[neighbor]
-                            + widths[neighbor]
-                            + egm[codes[neighbor]][ccode]
-                        )
-                    elif neighbor is not None:
-                        b = (
-                            px[neighbor]
-                            + widths[neighbor]
-                            + egm[codes[neighbor]][ccode]
-                        )
-                    else:
-                        limit = segment.x_lo
-                        outside = occupancy.left_neighbor(row, segment.x_lo)
-                        if outside is not None:
-                            lim2 = (
-                                px[outside]
-                                + widths[outside]
-                                + egm[codes[outside]][ccode]
-                            )
-                            if lim2 > limit:
-                                limit = lim2
-                        b = limit
-                    if best is None or b > best:
-                        best = b
-            assert best is not None
-            extreme[cell] = best
-            if side > 0:
-                if best < px[cell] - 1e-9:
-                    return None  # Already violates: cannot even stay put.
-            elif best > px[cell] + 1e-9:
-                return None
-
-        # 4. The target's limit.
-        limit_val: Optional[int] = None
-        for gap in gaps:
-            if side > 0:
-                rc = gap.right_cell
-                if rc is not None:
-                    v = extreme[rc] - egm[tcode][codes[rc]] - width_t
-                else:
-                    rw = gap.right_wall_cell
-                    wall_gap = egm[tcode][codes[rw]] if rw is not None else 0
-                    v = gap.right_bound - wall_gap - width_t
-                if limit_val is None or v < limit_val:
-                    limit_val = v
-            else:
-                lc = gap.left_cell
-                if lc is not None:
-                    v = extreme[lc] + widths[lc] + egm[codes[lc]][tcode]
-                else:
-                    lw = gap.left_wall_cell
-                    wall_gap = egm[codes[lw]][tcode] if lw is not None else 0
-                    v = gap.left_bound + wall_gap
-                if limit_val is None or v > limit_val:
-                    limit_val = v
-        assert limit_val is not None
-        return offsets, limit_val
+        return offsets
 
     def _finish_fast(
         self,

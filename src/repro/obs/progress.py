@@ -147,10 +147,12 @@ class ProgressEmitter(NullProgress):
         value = disp() if callable(disp) else disp
         if value is not None:
             event["disp"] = round(float(value), 3)
-        elapsed = now - self._t0
+        # The ETA extrapolates the event's own ``elapsed`` at the same
+        # precision, so it stays (total - placed) / placed times it.
+        elapsed = round(now - self._t0, 6)
         if 0 < placed < total and elapsed > 0:
             remaining = (total - placed) * elapsed / placed
-            event["eta_seconds"] = round(remaining, 3)
+            event["eta_seconds"] = round(remaining, 6)
         event.update(fields)
         self._emit(event, now)
 

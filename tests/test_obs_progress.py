@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.core.legalizer import legalize
 from repro.core.params import LegalizerParams
 from repro.obs.progress import (
@@ -63,6 +65,21 @@ class TestEmitter:
         # Final events carry no ETA.
         emitter.cells(100, 100)
         assert "eta_seconds" not in events[-1]
+
+    def test_eta_keeps_the_precision_of_elapsed(self, monkeypatch):
+        """An event 5.1 us after the start reads ``elapsed`` 5e-06; its
+        ETA must be 99 times that, not 99 * 5.1e-06 rounded up to a
+        millisecond."""
+        clock = iter([100.0, 100.0 + 5.1e-6])
+        monkeypatch.setattr(
+            "repro.obs.progress.monotonic", lambda: next(clock)
+        )
+        emitter, events = collecting_emitter()
+        emitter.cells(1, 100)
+        (event,) = events
+        assert event["elapsed"] == 5e-06
+        assert event["eta_seconds"] == pytest.approx(99 * 5e-06)
+        assert event["eta_seconds"] <= 99 * event["elapsed"] * 1.5 + 1e-6
 
     def test_disp_thunk_only_runs_for_emitted_events(self):
         calls = []

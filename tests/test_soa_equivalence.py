@@ -24,8 +24,12 @@ tests pin that contract:
   on a hand-built row whose cells sit left of, across, inside and right
   of a window;
 * the dominance cut-off: per candidate, it may only drop a candidate
-  that costs more than the incumbent; on whole runs, both of its tests
-  fire and the placement and evaluation count stay the scalar ones.
+  that costs more than the incumbent; on whole runs, its tests before
+  and after the push and the push summaries' decisions all fire, and
+  the placement and evaluation count stay the scalar ones;
+* the push summaries on hand-built rows: savings reached through both
+  rows of a 2-row seed, a cell pushed both ways, a pushed cell with a
+  row outside every segment, and a far cell already past its extreme.
 """
 
 import math
@@ -401,13 +405,28 @@ def test_finish_refuses_sites_left_of_the_summed_anchor():
         vector._vector._finish_fast(0, [], {}, 10.0, {}, -5.0)
 
 
+def _has_sites(context: InsertionContext, gaps) -> bool:
+    """Whether the scalar walk finds both pushes feasible and a site."""
+    right = context._push_side(gaps, +1)
+    left = context._push_side(gaps, -1)
+    return (
+        right is not None
+        and left is not None
+        and not set(right[0]) & set(left[0])
+        and math.ceil(left[1]) <= math.floor(right[1])
+    )
+
+
 class _CutoffCounter:
     """Counts calls into the vector backend's evaluation stages.
 
-    ``pre_push_skips`` are evaluations that never reached the push,
-    ``post_push_skips`` pushed candidates with a non-empty site range
-    that never reached the finish: exactly the dominance cut-off's two
-    exits.
+    ``pre_push_skips`` are evaluations that never reached the push.
+    ``post_push_skips`` are candidates that reached it, that the scalar
+    walk pushes with a non-empty site range, and that never reached the
+    finish: exactly the cut-off's exits once the push limits are known,
+    on the run tables (``_loses_after_push``) and off them (the summary
+    bound).  ``summary_skips`` are candidates off the run tables that
+    the push summaries decided before any walk.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -415,27 +434,40 @@ class _CutoffCounter:
         self.pushes = 0
         self.pushes_with_sites = 0
         self.finishes = 0
+        self.summary_skips = 0
         evaluate = VectorEvaluator.evaluate
         push = VectorEvaluator._push
+        summary_limits = VectorEvaluator._summary_limits
         finish = VectorEvaluator._finish_fast
 
         def counted_evaluate(evaluator, *args, **kwargs):
             self.evaluations += 1
             return evaluate(evaluator, *args, **kwargs)
 
-        def counted_push(evaluator, gaps):
+        def counted_push(evaluator, bottom_row, gaps, threshold):
             self.pushes += 1
-            sides = push(evaluator, gaps)
-            if sides is not None and math.ceil(sides[3]) <= math.floor(sides[1]):
+            sides = push(evaluator, bottom_row, gaps, threshold)
+            if _has_sites(evaluator.context, gaps):
                 self.pushes_with_sites += 1
             return sides
 
+        def counted_summary_limits(evaluator, *args):
+            limits = summary_limits(evaluator, *args)
+            if limits is None:
+                self.summary_skips += 1
+            return limits
+
         def counted_finish(evaluator, *args):
-            self.finishes += 1
+            right_limit, left_limit = args[3], args[5]
+            if math.ceil(left_limit) <= math.floor(right_limit):
+                self.finishes += 1
             return finish(evaluator, *args)
 
         monkeypatch.setattr(VectorEvaluator, "evaluate", counted_evaluate)
         monkeypatch.setattr(VectorEvaluator, "_push", counted_push)
+        monkeypatch.setattr(
+            VectorEvaluator, "_summary_limits", counted_summary_limits
+        )
         monkeypatch.setattr(VectorEvaluator, "_finish_fast", counted_finish)
 
     @property
@@ -464,6 +496,7 @@ class TestDominanceCutoff:
         )
         assert counter.pre_push_skips > 0
         assert counter.post_push_skips > 0
+        assert counter.summary_skips > 0
 
     def test_post_push_bound_counts_savings_toward_gp(self):
         """A cell displaced left of its GP gains from being pushed right:
@@ -520,3 +553,120 @@ class TestDominanceCutoff:
             0, (gap,), bound, expected.cost, LegalizerParams().prune_margin
         )
         _assert_same(got, expected)
+
+
+def _hand_built(
+    tech: Technology,
+    layout: "list[tuple[CellType, int, int, float, bool]]",
+    target: "tuple[CellType, float, int]",
+    blockage: "Rect | None" = None,
+) -> "tuple[InsertionContext, list[int]]":
+    """The vector context of a 2-row, 40-site design with ``layout``.
+
+    ``layout`` holds ``(type, x, row, gp_x, fixed)`` per cell, each
+    registered straight into the occupancy at ``(x, row)`` with its GP
+    in the same row; ``target`` is ``(type, gp_x, gp_y)``.
+    """
+    design = Design(tech, num_rows=2, num_sites=40)
+    if blockage is not None:
+        design.add_blockage(blockage)
+    cells = [
+        design.add_cell(f"c{index}", cell_type, gp_x, row, fixed=fixed)
+        for index, (cell_type, _x, row, gp_x, fixed) in enumerate(layout)
+    ]
+    target_type, gp_x, gp_y = target
+    target_cell = design.add_cell("t", target_type, gp_x, gp_y)
+    placement = Placement(design)
+    occupancy = Occupancy(design, placement)
+    for cell, (_type, x, row, _gp_x, _fixed) in zip(cells, layout):
+        placement.move(cell, x, row)
+        occupancy.add(cell)
+    _, vector = _context_pair(design, occupancy, target_cell)
+    return vector, cells
+
+
+def _assert_matches_scalar(context: InsertionContext, bottom_row, gaps):
+    """The vector candidate equals ``evaluate_scalar``, without an
+    incumbent and at a tied one; returns the scalar result."""
+    expected = context.evaluate_scalar(bottom_row, gaps)
+    _assert_same(context.evaluate(bottom_row, gaps), expected)
+    bound = context.target_cost_lower_bound(bottom_row, gaps)
+    got = context._vector.evaluate(
+        bottom_row, gaps, bound,
+        bound if expected is None else expected.cost,
+        LegalizerParams().prune_margin,
+    )
+    _assert_same(got, expected)
+    return expected
+
+
+class TestPushSummaries:
+    """Candidates off the run tables, decided from the push summaries."""
+
+    single = CellType("S", 2, 1)
+    double = CellType("D", 2, 2)
+
+    def test_savings_reached_through_both_rows_of_a_seed(self):
+        """The 2-row seed's rows reach the 2-row cell ``q`` through two
+        neighbors, so the summed savings bound counts ``q`` twice.  All
+        four pushed cells sit 4 sites left of their GP; the candidate
+        costs 1.4 rows less than the target alone, and at a tied
+        incumbent it must still finish."""
+        tech = Technology(cell_types=[self.single, self.double])
+        vector, (seed, _a, _b, q) = _hand_built(tech, [
+            (self.double, 10, 0, 14.0, False),
+            (self.single, 12, 0, 16.0, False),
+            (self.single, 12, 1, 16.0, False),
+            (self.double, 14, 0, 18.0, False),
+        ], (self.single, 10.0, 0))
+        (gap,) = [g for g in vector.gaps_in_row(0) if g.right_cell == seed]
+        expected = _assert_matches_scalar(vector, 0, (gap,))
+        assert expected is not None and expected.cost < -1.0
+        assert expected.x == 12 and (q, 18) in expected.moves
+        summary = vector._vector._summaries[+1][seed]
+        assert summary is not None
+        assert summary.savings == pytest.approx(2.0)  # q counted twice
+
+    def test_cell_pushed_both_ways_by_a_two_row_target(self):
+        tech = Technology(cell_types=[self.single, self.double])
+        vector, (middle,) = _hand_built(
+            tech, [(self.double, 10, 0, 10.0, False)], (self.double, 10.0, 0)
+        )
+        candidates = [
+            gaps for row, gaps in vector.enumerate_insertion_points()
+            if row == 0
+            and gaps[0].right_cell == middle
+            and gaps[1].left_cell == middle
+        ]
+        assert candidates
+        for gaps in candidates:
+            assert _assert_matches_scalar(vector, 0, gaps) is None
+        assert vector._vector._summaries[+1][middle] is not None
+
+    def test_pushed_cell_with_a_row_outside_every_segment(self):
+        """The 2-row cell at x 10 is registered across a blockage that
+        leaves row 1 without a segment there."""
+        tech = Technology(cell_types=[self.single, self.double])
+        vector, (seed, blocked) = _hand_built(tech, [
+            (self.single, 8, 0, 8.0, False),
+            (self.double, 10, 0, 10.0, False),
+        ], (self.single, 6.0, 0), blockage=Rect(10, 1, 14, 2))
+        (gap,) = [g for g in vector.gaps_in_row(0) if g.right_cell == seed]
+        assert _assert_matches_scalar(vector, 0, (gap,)) is None
+        assert vector._vector._summaries[+1][blocked] is None
+
+    def test_far_cell_already_past_its_wall_extreme(self):
+        """``far`` abuts the fixed wall, whose edge rule needs 2 sites."""
+        ruled = CellType("R", 2, 1, left_edge=1, right_edge=1)
+        tech = Technology(
+            cell_types=[self.single, self.double, ruled],
+            edge_spacing=EdgeSpacingTable([(1, 1, 2)]),
+        )
+        vector, (seed, far, _wall) = _hand_built(tech, [
+            (self.double, 10, 0, 10.0, False),
+            (ruled, 12, 0, 12.0, False),
+            (ruled, 14, 0, 14.0, True),
+        ], (self.single, 8.0, 0))
+        (gap,) = [g for g in vector.gaps_in_row(0) if g.right_cell == seed]
+        assert _assert_matches_scalar(vector, 0, (gap,)) is None
+        assert vector._vector._summaries[+1][far] is None
