@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.insertion import EvaluatedInsertion, Gap, InsertionContext
-from repro.core.mgl import MGLegalizer
+from repro.core.mgl import PRUNE_MARGIN, MGLegalizer
 from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
 from repro.model.design import Design
@@ -114,7 +114,7 @@ class AbacusLegalizer:
             if (
                 best is not None
                 and context.target_cost_lower_bound(bottom_row, tuple(gaps))
-                > best.cost + self.params.prune_margin
+                > best.cost + PRUNE_MARGIN
             ):
                 continue
             evaluated = context.evaluate(bottom_row, tuple(gaps))

@@ -249,7 +249,7 @@ class CurveSet:
 
     :meth:`DisplacementCurve.value` re-walks every breakpoint from the
     anchor on each call, which makes the MGL hot path — one minimization
-    plus up to ``2 * guard_max_shift`` guard probes per insertion point —
+    plus up to ``2 * GUARD_MAX_SHIFT`` guard probes per insertion point —
     quadratic in the breakpoint count.  ``CurveSet`` runs ``sum_curves``
     once and replays the forward and backward sweeps a single time,
     checkpointing the running ``(total, slope, position)`` state at every

@@ -86,6 +86,10 @@ class InsertionContext:
             positions (MGL, the paper's method); ``"current"`` measures
             from the cells' current positions (MLL [12], reproduced as a
             baseline) — this collapses curve types C/D back into A/B.
+        max_gaps_per_row: candidate gaps kept per row (see
+            :meth:`gaps_in_row`); MGL passes
+            :data:`repro.core.mgl.MAX_GAPS_PER_ROW`, and its exhaustive
+            fallback and the Abacus baseline lift the cap.
         soa: optional shared :class:`repro.core.soa.SoAState` tables of
             the design.  When given, gap enumeration and
             :meth:`evaluate` route through the window-bounded fast path
@@ -539,8 +543,9 @@ class InsertionContext:
 
         Uses the rough per-row compression interval; local-cell deltas can
         be negative (type C/D curves), so callers must allow a margin when
-        pruning with this bound.  Both backends compute it per candidate
-        with this one formula.
+        pruning with this bound (MGL and the Abacus baseline allow
+        :data:`repro.core.mgl.PRUNE_MARGIN`).  Both backends compute it
+        per candidate with this one formula.
         """
         lo = max(gap.lo_rough for gap in gaps)
         hi = min(gap.hi_rough for gap in gaps)

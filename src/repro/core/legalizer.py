@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.core.flowopt import FlowOptStats, optimize_fixed_row_order
-from repro.core.globalmove import GlobalMoveStats, optimize_global_moves
 from repro.core.matching import MatchingStats, optimize_max_displacement
 from repro.core.mgl import MGLegalizer
 from repro.core.params import LegalizerParams
@@ -51,10 +50,8 @@ class LegalizationResult:
     after_mgl: StageMetrics
     after_matching: Optional[StageMetrics] = None
     after_flow: Optional[StageMetrics] = None
-    after_global_moves: Optional[StageMetrics] = None
     matching_stats: Optional[MatchingStats] = None
     flow_stats: Optional[FlowOptStats] = None
-    global_move_stats: Optional[GlobalMoveStats] = None
     mgl_stats: Dict[str, int] = field(default_factory=dict)
     #: Row-band partition of a sharded MGL run (``params.shards > 1``),
     #: in the JSON form of ``ShardTopology.as_dict``; None otherwise.
@@ -67,8 +64,6 @@ class LegalizationResult:
             total += self.after_matching.seconds
         if self.after_flow is not None:
             total += self.after_flow.seconds
-        if self.after_global_moves is not None:
-            total += self.after_global_moves.seconds
         return total
 
 
@@ -195,15 +190,6 @@ class Legalizer:
                     lambda: optimize_fixed_row_order(
                         placement, params, guard=self.guard
                     ),
-                )
-            if params.use_global_moves:
-                result.global_move_stats, result.after_global_moves = (
-                    self._run_stage(
-                        "global_moves", placement,
-                        lambda: optimize_global_moves(
-                            placement, params, guard=self.guard
-                        ),
-                    )
                 )
 
             self._observe_final_metrics(placement)

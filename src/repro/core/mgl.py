@@ -36,6 +36,22 @@ WINDOW_EXPAND = 1.6
 #: cell that fails that too means an over-full fence region.
 MAX_EXPANSIONS = 12
 
+#: Candidate gaps kept per row, nearest the GP x first; bounds the
+#: combination search in expanded windows.
+MAX_GAPS_PER_ROW = 12
+
+#: Gap combinations enumerated per bottom row.
+MAX_INSERTION_POINTS = 128
+
+#: Slack (row-height units) added to the incumbent cost when pruning
+#: insertion points by the target-only lower bound; covers the local
+#: cells' displacement *reductions* the bound ignores.  It also stops
+#: the vector backend's savings-cap scan: a window whose local cells
+#: could save this much or more never lets the dominance cut-off skip
+#: a candidate before its push (see
+#: repro.core.soa.VectorEvaluator.evaluate).
+PRUNE_MARGIN = 2.0
+
 
 class LegalizationError(Exception):
     """Raised when a cell cannot be placed anywhere in its fence region."""
@@ -261,7 +277,7 @@ class MGLegalizer:
 
         The winner is defined order-independently: walk candidates by
         ``(lower bound, enumeration ordinal)``, stop once the bound
-        exceeds the incumbent cost plus ``prune_margin``, and keep the
+        exceeds the incumbent cost plus :data:`PRUNE_MARGIN`, and keep the
         minimum ``(cost, y, x, ordinal)``.
         :meth:`InsertionContext.evaluate_best_first` computes this lazily
         through a heap with row-level short-circuits; an exhaustive
@@ -291,16 +307,11 @@ class MGLegalizer:
             weight_of=self.weight_of,
             guard=None if exhaustive else self.guard,
             reference=self.reference,
-            max_gaps_per_row=(
-                1 << 30 if exhaustive else self.params.max_gaps_per_row
-            ),
+            max_gaps_per_row=1 << 30 if exhaustive else MAX_GAPS_PER_ROW,
             soa=soa,
         )
-        margin = self.params.prune_margin
-        max_points = (
-            1 << 30 if exhaustive else self.params.max_insertion_points
-        )
-        return context.evaluate_best_first(max_points, margin)
+        max_points = 1 << 30 if exhaustive else MAX_INSERTION_POINTS
+        return context.evaluate_best_first(max_points, PRUNE_MARGIN)
 
     def evaluate_insert_many(
         self,

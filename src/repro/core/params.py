@@ -1,12 +1,18 @@
 """Tunable parameters of the legalization flow.
 
 All knobs referenced in the paper are collected here so benchmarks and
-ablations can sweep them: the initial MGL window (§3.1; its expansion
-policy is fixed by ``repro.core.mgl.WINDOW_EXPAND`` and
-``MAX_EXPANSIONS``), the matching threshold ``delta_0`` of Eq. 3
-(§3.2), the max-vs-average weight ``n_0`` of Eq. 8 (§3.3.1),
-routability penalties (§3.4), and the scheduler's batch capacity
-(§3.5).
+ablations can sweep them: the initial MGL window (§3.1), the matching
+threshold ``delta_0`` of Eq. 3 (§3.2), the max-vs-average weight
+``n_0`` of Eq. 8 (§3.3.1), routability penalties (§3.4), and the
+scheduler's batch capacity (§3.5).
+
+The implementation caps no caller tunes live as constants next to the
+code that reads them: the window expansion policy, the per-row gap and
+combination caps and the pruning margin in :mod:`repro.core.mgl`
+(``WINDOW_EXPAND``, ``MAX_EXPANSIONS``, ``MAX_GAPS_PER_ROW``,
+``MAX_INSERTION_POINTS``, ``PRUNE_MARGIN``), and the routability
+guard's walk and blocked-site penalty in :mod:`repro.core.refine`
+(``GUARD_MAX_SHIFT``, ``BLOCKED_PENALTY``).
 """
 
 from __future__ import annotations
@@ -27,9 +33,6 @@ class LegalizerParams:
             during MGL (True) or uniformly (False, the Table 2 setting).
         use_matching: run the §3.2 max-displacement matching stage.
         use_flow_opt: run the §3.3 fixed-row-fixed-order MCF stage.
-        use_global_moves: run the rip-up-and-reinsert refinement after
-            the paper's three stages (an extension, off by default; see
-            repro.core.globalmove).
         matching_delta0: tolerable max-displacement threshold ``delta_0``
             in Eq. 3 (row-height units); None picks it adaptively as the
             90th percentile of the current displacement distribution, so
@@ -43,21 +46,8 @@ class LegalizerParams:
         routability: honor rails/IO pins during MGL and restrict stage-3
             ranges to violation-free intervals (§3.4).
         io_penalty: added insertion cost per IO-pin conflict.
-        blocked_penalty: added cost when no rail-clean x exists nearby.
-        guard_max_shift: how far (sites) MGL may walk from the curve
-            optimum to clear a vertical-rail conflict.
         feasible_range_limit: cap (sites per side) on the stage-3
             violation-free range growth around each cell.
-        max_insertion_points: cap on gap combinations per bottom row.
-        max_gaps_per_row: keep only this many candidate gaps per row
-            (nearest the GP x first); bounds work in expanded windows.
-        prune_margin: slack (row-height units) added to the incumbent cost
-            when pruning insertion points by the target-only lower bound;
-            covers local-cell displacement *reductions* the bound ignores.
-            It also stops the vector backend's savings-cap scan: a window
-            whose local cells could save ``prune_margin`` or more never
-            lets the dominance cut-off skip a candidate before its push
-            (see repro.core.soa.VectorEvaluator.evaluate).
         scheduler_capacity: max simultaneously processed windows (the
             ``L_p`` capacity of §3.5); determinism holds for any value.
             The default of 1 is plain sequential MGL — Python gains no
@@ -65,12 +55,15 @@ class LegalizerParams:
             reproducing the paper's determinism claim, not for speed.
         scheduler_workers: *process*-pool size for the scheduler's
             evaluation phase (0 = in-process).  Worker processes
-            sidestep the GIL, so this buys real wall-clock speedup on
-            multicore hardware; placements are bit-identical to the
-            in-process path for any worker count (see
-            repro.core.parallel).  When ``shards > 1`` this is reused
-            as the *shard* process pool size instead (see
-            repro.core.shard).
+            sidestep the GIL but have not yet paid for themselves on
+            2 cores: capacity 32 on 2 workers took 2.18 s of MGL on the
+            ``dense_pool`` benchmark against 1.61 s serial, and
+            ``bench_perf.py --quick``'s parallel section (capacity 8, 2
+            workers) measured 0.69x and 0.70x the serial speed in two
+            runs.  Placements are bit-identical to the in-process path
+            for any worker count (see repro.core.parallel).  When
+            ``shards > 1`` this is reused as the *shard* process pool
+            size instead (see repro.core.shard).
         shards: number of fence-aware row-band shards MGL partitions
             the die into (see repro.core.shard).  1 (the default) is
             the unsharded path; >1 legalizes shard interiors
@@ -104,18 +97,12 @@ class LegalizerParams:
     height_weighted: bool = False
     use_matching: bool = True
     use_flow_opt: bool = True
-    use_global_moves: bool = False
     matching_delta0: Optional[float] = None
     matching_max_group: int = 600
     flow_n0: int = 4
     routability: bool = True
     io_penalty: float = 10.0
-    blocked_penalty: float = 50.0
-    guard_max_shift: int = 12
     feasible_range_limit: int = 64
-    max_insertion_points: int = 128
-    max_gaps_per_row: int = 12
-    prune_margin: float = 2.0
     scheduler_capacity: int = 1
     scheduler_workers: int = 0
     shards: int = 1
@@ -123,38 +110,45 @@ class LegalizerParams:
     eval_backend: str = "vector"
 
     def validate(self) -> None:
-        """Raise :class:`ValueError` on out-of-range settings."""
-        if self.window_width <= 0 or self.window_height <= 0:
-            raise ValueError("window dimensions must be positive")
-        if self.matching_delta0 is not None and self.matching_delta0 <= 0:
-            raise ValueError("matching_delta0 must be positive")
-        if self.matching_max_group < 1:
+        """Raise :class:`ValueError` on out-of-range settings.
+
+        Every bound is tested as ``not (value > bound)`` or ``not (value
+        >= bound)``, so NaN, which fails every comparison, fails it too.
+        """
+        if not (self.window_width > 0 and self.window_height > 0):
+            raise ValueError(
+                "window_width and window_height must be positive, got "
+                f"{self.window_width!r} and {self.window_height!r}"
+            )
+        if self.matching_delta0 is not None and not self.matching_delta0 > 0:
+            raise ValueError(
+                f"matching_delta0 must be positive, got {self.matching_delta0!r}"
+            )
+        if not self.matching_max_group >= 1:
             raise ValueError("matching_max_group must be at least 1")
-        if self.flow_n0 < 0:
-            raise ValueError("flow_n0 must be non-negative")
-        if self.max_insertion_points < 1:
-            raise ValueError("max_insertion_points must be at least 1")
-        if self.max_gaps_per_row < 1:
-            raise ValueError("max_gaps_per_row must be at least 1")
+        # n_0 is a flow capacity and an objective weight in stage 3; a
+        # NaN one makes the objective NaN, so the stage's decline test
+        # accepts whatever the solver returned.
+        if not (math.isfinite(self.flow_n0) and self.flow_n0 >= 0):
+            raise ValueError(
+                f"flow_n0 must be finite and non-negative, got {self.flow_n0!r}"
+            )
         # The dominance cut-off (repro.core.soa) bounds a candidate's
         # finished cost from below by assuming non-negative guard
-        # penalties, and a NaN margin disables the best-first stop rule.
-        for name in (
-            "io_penalty", "blocked_penalty", "prune_margin",
-            "guard_max_shift", "feasible_range_limit",
-        ):
+        # penalties.
+        for name in ("io_penalty", "feasible_range_limit"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value!r}"
                 )
-        if self.scheduler_capacity < 1:
+        if not self.scheduler_capacity >= 1:
             raise ValueError("scheduler_capacity must be at least 1")
-        if self.scheduler_workers < 0:
+        if not self.scheduler_workers >= 0:
             raise ValueError("scheduler_workers must be non-negative")
-        if self.shards < 1:
+        if not self.shards >= 1:
             raise ValueError("shards must be at least 1")
-        if self.shard_halo_rows < 0:
+        if not self.shard_halo_rows >= 0:
             raise ValueError("shard_halo_rows must be non-negative")
         if self.eval_backend not in ("vector", "scalar"):
             raise ValueError(f"unknown eval_backend {self.eval_backend!r}")

@@ -28,6 +28,21 @@ from repro.model.geometry import Rect
 from repro.model.rails import Rail
 from repro.model.technology import CellType
 
+#: How far (sites) MGL may walk from the curve optimum to clear a
+#: vertical-rail conflict.
+GUARD_MAX_SHIFT = 12
+
+#: Added insertion cost when no rail-clean x lies within
+#: :data:`GUARD_MAX_SHIFT` of the curve optimum.
+BLOCKED_PENALTY = 50.0
+
+#: The guard walk's visit order [0, +1, -1, ..., +max, -max] as offsets.
+_WALK_DELTAS = (0,) + tuple(
+    delta
+    for shift in range(1, GUARD_MAX_SHIFT + 1)
+    for delta in (shift, -shift)
+)
+
 #: A (cell pin, IO pin) pair that can overlap on one row, as
 #: ``(pin_xlo, pin_xhi, io_xlo, io_xhi)`` in length units.
 IOPair = Tuple[float, float, float, float]
@@ -75,10 +90,6 @@ class RoutabilityGuard:
             for rail in design.rails.rails
             if rail.orientation == "v"
         )
-        # The adjust_x visit order [0, +1, -1, ..., +max, -max] as offsets.
-        self._walk_deltas = [0]
-        for shift in range(1, self.params.guard_max_shift + 1):
-            self._walk_deltas += [shift, -shift]
 
     # ------------------------------------------------------------------
     # Pin geometry
@@ -239,14 +250,15 @@ class RoutabilityGuard:
         """Pick the cheapest clean x near the curve optimum.
 
         Walks outward from ``x_opt`` (alternating sides, nearest first) up
-        to ``guard_max_shift`` sites; among vertical-rail-clean candidates
-        the one minimizing ``cost_at(x) + io_penalty`` wins.  When every
-        candidate is blocked, the optimum is kept with ``blocked_penalty``
-        added (the soft-constraint semantics of §2).
+        to :data:`GUARD_MAX_SHIFT` sites; among vertical-rail-clean
+        candidates the one minimizing ``cost_at(x) + io_penalty`` wins.
+        When every candidate is blocked, the optimum is kept with
+        :data:`BLOCKED_PENALTY` added (the soft-constraint semantics of
+        §2).
         """
         best_x: Optional[int] = None
         best_total = math.inf
-        for offset in range(0, self.params.guard_max_shift + 1):
+        for offset in range(0, GUARD_MAX_SHIFT + 1):
             for candidate in ((x_opt + offset, x_opt - offset) if offset else (x_opt,)):
                 if candidate < lo or candidate > hi:
                     continue
@@ -260,7 +272,7 @@ class RoutabilityGuard:
             # convex-ish curve; but IO penalties are lumpy, so we scan the
             # full shift budget rather than early-exit.
         if best_x is None:
-            penalty = self.params.blocked_penalty + self.io_penalty_at(
+            penalty = BLOCKED_PENALTY + self.io_penalty_at(
                 cell_type, row, x_opt
             )
             return x_opt, penalty
@@ -356,7 +368,7 @@ class RoutabilityGuard:
         best_x: Optional[int] = None
         best_total = math.inf
         best_cost = 0.0
-        for delta in self._walk_deltas:
+        for delta in _WALK_DELTAS:
             x = x_opt + delta
             if x < lo or x > hi or blocked[x]:
                 continue
@@ -369,7 +381,7 @@ class RoutabilityGuard:
                 best_x = x
                 best_cost = cost
         if best_x is None:
-            penalty = self.params.blocked_penalty + self.io_penalty_at(
+            penalty = BLOCKED_PENALTY + self.io_penalty_at(
                 cell_type, row, x_opt
             )
             return x_opt, penalty

@@ -291,7 +291,8 @@ class VectorEvaluator:
         curve directly instead of materializing per-cell curve objects.
 
         Given the ``incumbent`` cost of the best-first walk (with the
-        candidate's heap ``bound`` and the walk's ``margin``), a
+        candidate's heap ``bound`` and the walk's ``margin``, MGL's
+        :data:`repro.core.mgl.PRUNE_MARGIN`), a
         candidate whose cost provably exceeds the incumbent returns None
         early — it could not have won, since ``(cost, y, x, ordinal)``
         ranks it behind the incumbent:

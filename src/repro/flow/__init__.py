@@ -1,15 +1,15 @@
 """Min-cost flow substrate.
 
 The paper solves its matching and fixed-row-fixed-order formulations with
-LEMON's network simplex; this subpackage is our from-scratch replacement:
+LEMON's network simplex; this subpackage is our from-scratch replacement
+for the fixed-row-fixed-order one (matching runs SciPy's dense
+assignment solver, see :mod:`repro.core.matching`):
 
 * :mod:`repro.flow.graph` — the flow-network representation;
 * :mod:`repro.flow.network_simplex` — primal network simplex with the
   first-eligible pivot rule (the solver configuration named in §3.3.1);
 * :mod:`repro.flow.ssp` — successive shortest paths with potentials, a
   simpler reference solver used for cross-checking;
-* :mod:`repro.flow.assignment` — min-cost bipartite perfect matching on
-  top of the flow solvers (plus a dense scipy backend);
 * :mod:`repro.flow.validate` — feasibility/optimality certificates.
 
 All arithmetic is exact (Python integers), so optimality checks are exact
@@ -19,7 +19,6 @@ equalities, never tolerances.
 from repro.flow.graph import INFINITE, FlowEdge, FlowGraph, FlowResult
 from repro.flow.network_simplex import NetworkSimplex, solve_min_cost_flow
 from repro.flow.ssp import solve_ssp
-from repro.flow.assignment import min_cost_assignment
 from repro.flow.validate import (
     check_complementary_slackness,
     check_feasible_flow,
@@ -35,7 +34,6 @@ __all__ = [
     "check_complementary_slackness",
     "check_feasible_flow",
     "flow_cost",
-    "min_cost_assignment",
     "solve_min_cost_flow",
     "solve_ssp",
 ]

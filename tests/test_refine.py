@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.curves import CurveSet
 from repro.core.params import LegalizerParams
-from repro.core.refine import RoutabilityGuard
+from repro.core.refine import BLOCKED_PENALTY, RoutabilityGuard
 from repro.model.design import Design
 from repro.model.geometry import Interval, Rect
 from repro.model.placement import Placement
@@ -106,7 +106,7 @@ class TestXBlocked:
         p = tech.type_named("P")
         x, extra = guard.adjust_x(p, 0, 5, 0, 18, lambda x: 0.0)
         assert x == 5  # kept
-        assert extra >= guard.params.blocked_penalty
+        assert extra >= BLOCKED_PENALTY
 
 
 class TestIOPenalty:

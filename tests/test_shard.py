@@ -463,28 +463,27 @@ class TestParamsAndCli:
             LegalizerParams(shards=0).validate()
         with pytest.raises(ValueError):
             LegalizerParams(shard_halo_rows=-1).validate()
-        # Zero would fail deep in a stage (matching's chunking range
-        # step) or silently (every window empty until the exhaustive
-        # chip-window fallback).
-        for knob in (
-            "matching_max_group", "max_insertion_points", "max_gaps_per_row"
-        ):
-            with pytest.raises(ValueError, match=knob):
-                LegalizerParams(**{knob: 0}).validate()
-        # Negative penalties or a NaN margin would void the dominance
-        # cut-off's lower bounds and the best-first stop rule.
+        nan = float("nan")
         for knob, value in (
-            ("io_penalty", -10.0), ("blocked_penalty", -1.0),
-            ("prune_margin", float("nan")), ("prune_margin", -1.0),
-            ("prune_margin", float("inf")), ("io_penalty", float("nan")),
-            ("guard_max_shift", -3), ("feasible_range_limit", -1),
+            # Zero would fail deep in matching's chunking range step.
+            ("matching_max_group", 0),
+            # Negative penalties would void the dominance cut-off's
+            # lower bounds.
+            ("io_penalty", -10.0), ("io_penalty", nan),
+            ("feasible_range_limit", -1),
+            # NaN passes a plain `<= 0` or `< 1` test.  A NaN window
+            # legalizes with different windows, a NaN delta_0 fails
+            # inside SciPy after all of MGL, and a NaN n_0 makes stage
+            # 3's objective NaN so its decline test cannot fire.
+            ("window_width", nan), ("window_height", nan),
+            ("matching_delta0", nan), ("matching_max_group", nan),
+            ("flow_n0", nan), ("flow_n0", float("inf")),
+            ("scheduler_capacity", nan), ("scheduler_workers", nan),
+            ("shards", nan), ("shard_halo_rows", nan),
         ):
             with pytest.raises(ValueError, match=knob):
                 LegalizerParams(**{knob: value}).validate()
-        for knob in (
-            "io_penalty", "blocked_penalty", "prune_margin",
-            "guard_max_shift", "feasible_range_limit",
-        ):
+        for knob in ("io_penalty", "feasible_range_limit"):
             LegalizerParams(**{knob: 0}).validate()  # zero stays legal
 
     def test_interior_params_strip_nested_parallelism(self):

@@ -40,6 +40,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core.insertion import InsertionContext
 from repro.core.mgl import (
+    PRUNE_MARGIN,
     WINDOW_EXPAND,
     LegalizationError,
     MGLegalizer,
@@ -273,7 +274,7 @@ class TestPerCandidateEquality:
         assume(state is not None)
         design, occupancy, remaining = state
         assume(remaining)
-        margins = (0.5, LegalizerParams().prune_margin)
+        margins = (0.5, PRUNE_MARGIN)
         checked = 0
         for target in remaining[:3]:
             for window in _windows(design, target):
@@ -317,7 +318,7 @@ class TestPerCandidateEquality:
         for cell, (_type, x, y) in zip(placed, layout):
             placement.move(cell, x, y)
             occupancy.add(cell)
-        margins = (0.5, LegalizerParams().prune_margin)
+        margins = (0.5, PRUNE_MARGIN)
         for frame in (window, design.chip_rect):
             gaps = _assert_same_gaps(design, occupancy, target, frame)
             assert gaps, frame
@@ -518,7 +519,7 @@ class TestDominanceCutoff:
         assert expected.cost < -1e-3  # below the target-only bound of 0
         got = vector._vector.evaluate(
             0, (gap,), vector.target_cost_lower_bound(0, (gap,)),
-            expected.cost, LegalizerParams().prune_margin,
+            expected.cost, PRUNE_MARGIN,
         )
         _assert_same(got, expected)
 
@@ -550,7 +551,7 @@ class TestDominanceCutoff:
         assert expected is not None and expected.x == 12
         assert bound > expected.cost + 1e-3  # 4 sites charged, 2 needed
         got = vector._vector.evaluate(
-            0, (gap,), bound, expected.cost, LegalizerParams().prune_margin
+            0, (gap,), bound, expected.cost, PRUNE_MARGIN
         )
         _assert_same(got, expected)
 
@@ -594,7 +595,7 @@ def _assert_matches_scalar(context: InsertionContext, bottom_row, gaps):
     got = context._vector.evaluate(
         bottom_row, gaps, bound,
         bound if expected is None else expected.cost,
-        LegalizerParams().prune_margin,
+        PRUNE_MARGIN,
     )
     _assert_same(got, expected)
     return expected
