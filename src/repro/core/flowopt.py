@@ -30,6 +30,7 @@ Edge-spacing requirements are folded into the pair constraints
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -361,6 +362,43 @@ def solve_lp(problem: FixedRowOrderProblem, n0: int) -> List[int]:
 # ----------------------------------------------------------------------
 
 
+def _max_displacement(
+    placement: Placement, problem: FixedRowOrderProblem, xs: List[int]
+) -> float:
+    """The largest displacement (rows, Eq. 1) if the cells move to ``xs``."""
+    design = placement.design
+    xu = design.x_unit_rows
+    return max(
+        abs(x - design.gp_x[cell]) * xu + abs(placement.y[cell] - design.gp_y[cell])
+        for cell, x in zip(problem.cells, xs)
+    )
+
+
+def _bound_to_max(
+    placement: Placement, problem: FixedRowOrderProblem, limit: float
+) -> None:
+    """Narrow ``[l_i, r_i]`` to the x at which cell i's displacement <= limit.
+
+    Each cell keeps its current x, so the problem stays feasible when the
+    placement's own maximum is at most ``limit``.
+    """
+    design = placement.design
+    xu = design.x_unit_rows
+    for k, cell in enumerate(problem.cells):
+        gp_x = design.gp_x[cell]
+        dy = abs(placement.y[cell] - design.gp_y[cell])
+        x = placement.x[cell]
+        slack = max(0.0, limit - dy) / xu
+        lo = min(x, math.ceil(gp_x - slack))
+        while lo < x and abs(lo - gp_x) * xu + dy > limit:
+            lo += 1
+        hi = max(x, math.floor(gp_x + slack))
+        while hi > x and abs(hi - gp_x) * xu + dy > limit:
+            hi -= 1
+        problem.lower[k] = max(problem.lower[k], lo)
+        problem.upper[k] = min(problem.upper[k], hi)
+
+
 @dataclass
 class FlowOptStats:
     """What the stage-3 optimization achieved."""
@@ -398,6 +436,11 @@ def optimize_fixed_row_order(
         barring solver failure).  A declined solution leaves the
         placement untouched and every "after" field equal to its
         "before" field.
+
+    Eq. 8 weighs the max against the total, and it measures both on GP
+    rounded to sites, so its optimum can raise the true maximum
+    displacement.  Such a solution is replaced by the optimum over the
+    positions that keep every cell within the incoming maximum.
     """
     params = params or LegalizerParams()
     design = placement.design
@@ -420,11 +463,17 @@ def optimize_fixed_row_order(
         backend = "mcf" if len(problem.cells) <= 4000 else "lp"
     stats.backend = backend
     if backend == "mcf":
-        solution = solve_mcf(problem, n0)
+        solve = solve_mcf
     elif backend == "lp":
-        solution = solve_lp(problem, n0)
+        solve = solve_lp
     else:
         raise ValueError(f"unknown stage-3 backend {backend!r}")
+    solution = solve(problem, n0)
+    # The unbounded optimum is also optimal under the bound when it meets
+    # it; solving it first keeps its tie-breaking wherever it does.
+    if _max_displacement(placement, problem, solution) > stats.max_disp_before:
+        _bound_to_max(placement, problem, stats.max_disp_before)
+        solution = solve(problem, n0)
 
     # Defensive: never apply an infeasible or worse solution.  Declining
     # leaves the placement, and so every "after" figure, as it was.

@@ -212,6 +212,29 @@ class TestOptimize:
             stats.objective_before, stats.avg_disp_before, stats.max_disp_before
         )
 
+    def test_never_raises_max(self):
+        """Eq. 8 ties a=3, c=6 with the current a=1, c=4 on rounded GPs;
+        c would then sit 2.62 sites from its GP, above the 1.67 max."""
+        tech = Technology(cell_types=[CellType("S3", 3, 1), CellType("S2", 2, 1)])
+        design = Design(tech, num_rows=1, num_sites=12, name="max",
+                        site_width=1.0, row_height=1.0)
+        design.add_cell("a", tech.type_named("S3"), 2.67, 0.0)
+        design.add_cell("b", tech.type_named("S2"), 8.67, 0.0)
+        design.add_cell("c", tech.type_named("S2"), 3.38, 0.0)
+        placement = Placement(design)
+        for cell, x in enumerate((1, 9, 4)):
+            placement.move(cell, x, 0)
+        params = LegalizerParams(routability=False)
+        before = max(placement.displacements())
+        problem = build_problem(placement, params)
+        unbounded = solve_mcf(problem, params.flow_n0 * max(problem.weights))
+        assert abs(unbounded[2] - 3.38) > before
+
+        stats = optimize_fixed_row_order(placement, params)
+        assert check_legal(placement).is_legal
+        assert stats.objective_after <= stats.objective_before
+        assert max(placement.displacements()) <= before
+
     def test_unknown_backend(self, small_design):
         params = LegalizerParams(routability=False, scheduler_capacity=1)
         placement = MGLegalizer(small_design, params).run()

@@ -12,7 +12,7 @@ invariants the paper relies on:
 
 import random
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.checker import check_legal
 from repro.core.flowopt import FixedRowOrderProblem, solve_lp, solve_mcf
@@ -69,6 +69,11 @@ def test_mgl_always_legal(seed, density):
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10_000))
+# Draws on which the unbounded Eq. 3 optimum raised the max.
+@example(seed=702)
+@example(seed=4656)
+@example(seed=7635)
+@example(seed=79055)
 def test_matching_is_position_permutation(seed):
     design = build_design(seed, 0.5)
     placement = MGLegalizer(
