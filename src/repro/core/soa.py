@@ -45,7 +45,12 @@ tests/test_soa_equivalence.py with ``eval_backend=scalar`` as the
 oracle.  Given the best-first walk's incumbent,
 :meth:`VectorEvaluator.evaluate` also skips the push or the finish of
 a candidate that lower bounds prove costlier (the dominance cut-off);
-such a candidate could not have won, so the equality holds.
+such a candidate could not have won, so the equality holds.  Once both
+push sides are known, on or off the run tables, the bound is
+separable: the target's cost at its best site of the range plus, per
+pushed cell, the least displacement change any site of the range
+leaves it, because the summed curve's minimum is at least the sum of
+the per-curve minima.
 
 Window-bounded walks: gaps and run tables involve only window-local
 cells, which lie inside the window, so gap enumeration and the run
@@ -300,12 +305,15 @@ class VectorEvaluator:
         * before the push, when ``bound`` minus the window's savings
           cap (:meth:`_savings_cap`) and minus the segment slack of the
           rough gap bounds still exceeds the incumbent;
-        * once the push limits are known, when the target's exact cost
-          over the site range ``[ceil(lo), floor(hi)]`` minus what the
-          pushed cells could save exceeds it: their per-cell savings on
-          the run tables (:meth:`_loses_after_push`), the seeds'
-          summed summary bounds off them, before any walk
-          (:meth:`_summary_limits`).
+        * off the run tables, before any walk, when the target's exact
+          cost over the site range ``[ceil(lo), floor(hi)]`` minus the
+          seeds' summed summary savings exceeds it
+          (:meth:`_summary_limits`);
+        * once the push sides are known, on either path, when the
+          per-curve lower bound :meth:`_cost_floor` over that range
+          exceeds it;
+        * in the finish, when the site minimum exceeds it, before the
+          guard walk (:meth:`_finish_fast`).
 
         Every test needs a margin of :data:`CUTOFF_TOLERANCE`, so ties
         are always finished.  The defaults disable them: the call is
@@ -320,7 +328,7 @@ class VectorEvaluator:
         sides = self._push(bottom_row, gaps, threshold)
         if sides is None:
             return None
-        return self._finish_fast(bottom_row, gaps, *sides)
+        return self._finish_fast(bottom_row, gaps, *sides, threshold)
 
     def _push(
         self, bottom_row: int, gaps: Sequence["Gap"], threshold: float
@@ -331,26 +339,29 @@ class VectorEvaluator:
         or its cost provably exceeds ``threshold``.  Candidates outside
         the run tables' shape are decided from the seeds' push summaries
         first (:meth:`_summary_limits`); only the survivors walk their
-        push sets, for the chain offsets.
+        push sets, for the chain offsets.  Both paths then meet the one
+        post-push test, :meth:`_cost_floor` against ``threshold``.
         """
+        handled = False
+        sides: Optional[Sides] = None
         if not self._multi_row and len(gaps) == 1:
             handled, sides = self._sides(gaps[0])
-            if handled:
-                if sides is None or (
-                    threshold < math.inf
-                    and self._loses_after_push(bottom_row, sides, threshold)
-                ):
-                    return None
-                return sides
-        limits = self._summary_limits(bottom_row, gaps, threshold)
-        if limits is None:
+        if not handled:
+            limits = self._summary_limits(bottom_row, gaps, threshold)
+            if limits is None:
+                return None
+            right_offsets = self._push_fast(gaps, +1)
+            left_offsets = self._push_fast(gaps, -1)
+            if set(right_offsets) & set(left_offsets):
+                return None  # A cell would be pushed both ways.
+            right_limit, left_limit = limits
+            sides = (right_offsets, right_limit, left_offsets, left_limit)
+        if sides is None or (
+            threshold < math.inf
+            and self._cost_floor(bottom_row, sides) > threshold
+        ):
             return None
-        right_offsets = self._push_fast(gaps, +1)
-        left_offsets = self._push_fast(gaps, -1)
-        if set(right_offsets) & set(left_offsets):
-            return None  # A cell would be pushed both ways.
-        right_limit, left_limit = limits
-        return right_offsets, right_limit, left_offsets, left_limit
+        return sides
 
     # ------------------------------------------------------------------
     # Dominance cut-off
@@ -427,46 +438,69 @@ class VectorEvaluator:
                     return math.inf
         return cap
 
-    def _loses_after_push(
-        self, bottom_row: int, sides: Sides, threshold: float
-    ) -> bool:
-        """Whether the pushed candidate's cost provably exceeds ``threshold``.
+    def _cost_floor(self, bottom_row: int, sides: Sides) -> float:
+        """A lower bound on what the finish can cost for these push sides.
 
-        The finish picks a site in ``[ceil(lo), floor(hi)]`` and adds
-        only non-negative guard penalties, so its cost is at least the
-        target's cost at the site nearest ``gp_x`` plus each pushed
-        cell's displacement change.  A right-pushed cell only moves
-        right, so its change is ``>= 0`` unless its GP lies to its right,
-        and then ``>= -w * x_unit * (gp - x)``; left-pushed cells
-        mirror this.
+        The finish minimizes the summed curve over the sites of ``[lo,
+        hi] = [ceil(left limit), floor(right limit)]`` and adds only
+        non-negative guard penalties, and a sum's minimum over a range
+        is at least the sum of its curves' minima there.  The target and
+        row curves give :meth:`_target_floor`.  A pushed cell's curve is
+        ``w * (|p - a| - |x - a|)``, with ``w = weight * x_unit``, ``x``
+        its position, ``a`` its GP x (``x`` under ``reference="current"``)
+        and ``p`` where the push leaves it.  Over the range, a right push
+        with offset ``o`` leaves it anywhere in ``[max(x, lo + o), max(x,
+        hi + o)]`` and a left push in ``[min(x, lo - o), min(x, hi - o)]``;
+        ``|p - a|`` is least at ``a`` clamped into that interval.  A
+        cell's term is thus never below ``-w * max(0, toward GP)``, the
+        most it could save, and it is positive when every site pushes it
+        away from GP.  An empty site range has no finish: infinity.
         """
         right_offsets, right_limit, left_offsets, left_limit = sides
-        lo_site = math.ceil(left_limit)
-        hi_site = math.floor(right_limit)
-        if lo_site > hi_site:
-            return True  # No site at all; the finish returns None.
-        lower = self._target_floor(bottom_row, lo_site, hi_site)
-        if lower <= threshold:
-            return False
-        if self._use_gp:
-            context = self.context
-            px = context.occupancy.placement.x
-            gp_of = context.design.gp_x
-            weight_of = context.weight_of
-            x_unit = context.x_unit
-            for cell in right_offsets:
-                toward = gp_of[cell] - px[cell]
-                if toward > 0:
-                    lower -= weight_of(cell) * x_unit * toward
-                    if lower <= threshold:
-                        return False
-            for cell in left_offsets:
-                toward = px[cell] - gp_of[cell]
-                if toward > 0:
-                    lower -= weight_of(cell) * x_unit * toward
-                    if lower <= threshold:
-                        return False
-        return True
+        lo = math.ceil(left_limit)
+        hi = math.floor(right_limit)
+        if lo > hi:
+            return math.inf
+        floor = self._target_floor(bottom_row, lo, hi)
+        context = self.context
+        px = context.occupancy.placement.x
+        gp_of = context.design.gp_x
+        weight_of = context.weight_of
+        x_unit = context.x_unit
+        use_gp = self._use_gp
+        for cell, offset in right_offsets.items():
+            x = px[cell]
+            anchor = gp_of[cell] if use_gp else x
+            # The anchor clamped into [max(x, lo + o), max(x, hi + o)].
+            near = lo + offset
+            if near < x:
+                near = x
+            if anchor > near:
+                near = hi + offset
+                if near < x:
+                    near = x
+                if near > anchor:
+                    near = anchor
+            floor += weight_of(cell) * x_unit * (
+                abs(near - anchor) - abs(x - anchor)
+            )
+        for cell, offset in left_offsets.items():
+            x = px[cell]
+            anchor = gp_of[cell] if use_gp else x
+            # The anchor clamped into [min(x, lo - o), min(x, hi - o)].
+            near = hi - offset
+            if near > x:
+                near = x
+            if anchor < near:
+                near = lo - offset
+                if near > x:
+                    near = x
+                if near < anchor:
+                    near = anchor
+            floor += weight_of(cell) * x_unit * (
+                abs(near - anchor) - abs(x - anchor)
+            )
+        return floor
 
     def _target_floor(
         self, bottom_row: int, lo_site: int, hi_site: int
@@ -766,6 +800,7 @@ class VectorEvaluator:
         right_limit: float,
         left_offsets: Dict[int, int],
         left_limit: float,
+        threshold: float,
     ) -> Optional["EvaluatedInsertion"]:
         """One-pass twin of :meth:`InsertionContext.finish_evaluation`.
 
@@ -780,6 +815,10 @@ class VectorEvaluator:
         sweep of ``CurveSet`` on plain lists, and minimizes, guards and
         builds the moves exactly as the scalar tail does; bit-equality
         against the object path is pinned by tests/test_soa_equivalence.py.
+
+        A site minimum above ``threshold`` returns None before the guard
+        walk: every site the walk may pick lies in the scanned range and
+        its penalties are non-negative, so the candidate would cost more.
         """
         lo_site = math.ceil(left_limit)
         hi_site = math.floor(right_limit)
@@ -923,6 +962,8 @@ class VectorEvaluator:
             if cost < best_cost - 1e-12:
                 best_cost = cost
                 best_x = site
+        if best_cost > threshold:
+            return None
 
         guard = context.guard
         if guard is not None:

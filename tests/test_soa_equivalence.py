@@ -24,9 +24,14 @@ tests pin that contract:
   on a hand-built row whose cells sit left of, across, inside and right
   of a window;
 * the dominance cut-off: per candidate, it may only drop a candidate
-  that costs more than the incumbent; on whole runs, its tests before
-  and after the push and the push summaries' decisions all fire, and
-  the placement and evaluation count stay the scalar ones;
+  that costs more than the incumbent, and the post-push floor never
+  exceeds a finished candidate's scalar cost (height-weighted or not,
+  from GP or from current positions); on whole runs, its test before
+  the push, the push summaries' decisions, the post-push test on and
+  off the run tables and the finish's stop before the guard walk all
+  fire, and the placement and evaluation count stay the scalar ones;
+  on hand-built rows, the floor charges a push every site forces and
+  credits savings only up to a pushed cell's reach;
 * the push summaries on hand-built rows: savings reached through both
   rows of a 2-row seed, a cell pushed both ways, a pushed cell with a
   row outside every segment, and a far cell already past its extreme.
@@ -34,6 +39,7 @@ tests pin that contract:
 
 import math
 import random
+from typing import Callable
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -44,6 +50,7 @@ from repro.core.mgl import (
     WINDOW_EXPAND,
     LegalizationError,
     MGLegalizer,
+    height_weights,
     mgl_cell_order,
 )
 from repro.core.occupancy import Occupancy
@@ -220,15 +227,20 @@ def _context_pair(
     occupancy: Occupancy,
     target: int,
     window: "Rect | None" = None,
+    weight_of: "Callable[[int], float] | None" = None,
+    reference: str = "gp",
 ) -> "tuple[InsertionContext, InsertionContext]":
     """(scalar context, vector context) over the same frozen occupancy."""
     if window is None:
         window = design.chip_rect
     guard = RoutabilityGuard(design, LegalizerParams())
-    scalar = InsertionContext(design, occupancy, target, window, guard=guard)
+    scalar = InsertionContext(
+        design, occupancy, target, window, weight_of=weight_of,
+        guard=guard, reference=reference,
+    )
     vector = InsertionContext(
-        design, occupancy, target, window, guard=guard,
-        soa=SoAState(design),
+        design, occupancy, target, window, weight_of=weight_of,
+        guard=guard, reference=reference, soa=SoAState(design),
     )
     assert vector._vector is not None
     return scalar, vector
@@ -281,6 +293,33 @@ class TestPerCandidateEquality:
                 checked += _assert_same_candidates(
                     design, occupancy, target, window, margins
                 )
+        assume(checked)
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000))
+    def test_cost_floor_bounds_every_finished_cost(self, seed):
+        """The post-push floor of a candidate's sides never exceeds the
+        cost the scalar walk finishes it at: guard on, with and without
+        Eq. 2 height weights, and measured from GP or from the cells'
+        current positions."""
+        state = _mid_run_states(seed)
+        assume(state is not None)
+        design, occupancy, remaining = state
+        assume(remaining)
+        weighted = height_weights(design)
+        checked = 0
+        for target in remaining[:3]:
+            for window in _windows(design, target):
+                for weight_of, reference in (
+                    (None, "gp"), (weighted, "gp"),
+                    (None, "current"), (weighted, "current"),
+                ):
+                    _, vector = _context_pair(
+                        design, occupancy, target, window,
+                        weight_of=weight_of, reference=reference,
+                    )
+                    checked += _assert_floor_below_cost(vector)
         assume(checked)
 
     def test_window_edges_on_a_hand_built_row(self):
@@ -396,6 +435,28 @@ def _assert_same_candidates(
     return checked
 
 
+def _assert_floor_below_cost(context: InsertionContext) -> int:
+    """Every finished candidate's cost is at least the vector backend's
+    floor for its scalar push sides; returns the candidates checked."""
+    evaluator = context._vector
+    checked = 0
+    for bottom_row, gaps in context.enumerate_insertion_points():
+        expected = context.evaluate_scalar(bottom_row, gaps)
+        if expected is None:
+            continue
+        right = context._push_side(gaps, +1)
+        left = context._push_side(gaps, -1)
+        assert right is not None and left is not None
+        floor = evaluator._cost_floor(
+            bottom_row, (right[0], right[1], left[0], left[1])
+        )
+        assert floor <= expected.cost + 1e-9, (
+            context.target, context.window, bottom_row, floor, expected.cost
+        )
+        checked += 1
+    return checked
+
+
 def test_finish_refuses_sites_left_of_the_summed_anchor():
     """The one-pass finish reads only forward checkpoints, so a site range
     starting left of the summed anchor (``<= 0.0``) must raise, not guess."""
@@ -403,7 +464,7 @@ def test_finish_refuses_sites_left_of_the_summed_anchor():
     occupancy = Occupancy(design, Placement(design))
     _, vector = _context_pair(design, occupancy, 0)
     with pytest.raises(ValueError, match="left of the summed curve anchor"):
-        vector._vector._finish_fast(0, [], {}, 10.0, {}, -5.0)
+        vector._vector._finish_fast(0, [], {}, 10.0, {}, -5.0, math.inf)
 
 
 def _has_sites(context: InsertionContext, gaps) -> bool:
@@ -422,23 +483,28 @@ class _CutoffCounter:
     """Counts calls into the vector backend's evaluation stages.
 
     ``pre_push_skips`` are evaluations that never reached the push.
-    ``post_push_skips`` are candidates that reached it, that the scalar
-    walk pushes with a non-empty site range, and that never reached the
-    finish: exactly the cut-off's exits once the push limits are known,
-    on the run tables (``_loses_after_push``) and off them (the summary
-    bound).  ``summary_skips`` are candidates off the run tables that
-    the push summaries decided before any walk.
+    ``summary_skips`` are candidates off the run tables that the push
+    summaries decided before any walk.  ``table_cuts`` and
+    ``walk_cuts`` are candidates that the scalar walk pushes with a
+    non-empty site range and that the post-push test
+    (``_cost_floor``) cut off: on the run tables, and off them after the
+    push walk.  ``finish_stops`` are finishes with a non-empty site
+    range that stopped before the guard walk.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.evaluations = 0
         self.pushes = 0
-        self.pushes_with_sites = 0
-        self.finishes = 0
         self.summary_skips = 0
+        self.table_cuts = 0
+        self.walk_cuts = 0
+        self.finish_stops = 0
+        self._path = ""
         evaluate = VectorEvaluator.evaluate
         push = VectorEvaluator._push
+        sides_of = VectorEvaluator._sides
         summary_limits = VectorEvaluator._summary_limits
+        push_fast = VectorEvaluator._push_fast
         finish = VectorEvaluator._finish_fast
 
         def counted_evaluate(evaluator, *args, **kwargs):
@@ -447,10 +513,20 @@ class _CutoffCounter:
 
         def counted_push(evaluator, bottom_row, gaps, threshold):
             self.pushes += 1
+            self._path = ""
             sides = push(evaluator, bottom_row, gaps, threshold)
-            if _has_sites(evaluator.context, gaps):
-                self.pushes_with_sites += 1
+            if sides is None and _has_sites(evaluator.context, gaps):
+                if self._path == "table":
+                    self.table_cuts += 1
+                elif self._path == "walk":
+                    self.walk_cuts += 1
             return sides
+
+        def counted_sides(evaluator, gap):
+            handled, sides = sides_of(evaluator, gap)
+            if handled:
+                self._path = "table"
+            return handled, sides
 
         def counted_summary_limits(evaluator, *args):
             limits = summary_limits(evaluator, *args)
@@ -458,26 +534,32 @@ class _CutoffCounter:
                 self.summary_skips += 1
             return limits
 
-        def counted_finish(evaluator, *args):
-            right_limit, left_limit = args[3], args[5]
-            if math.ceil(left_limit) <= math.floor(right_limit):
-                self.finishes += 1
-            return finish(evaluator, *args)
+        def counted_push_fast(evaluator, gaps, side):
+            self._path = "walk"
+            return push_fast(evaluator, gaps, side)
 
-        monkeypatch.setattr(VectorEvaluator, "evaluate", counted_evaluate)
-        monkeypatch.setattr(VectorEvaluator, "_push", counted_push)
-        monkeypatch.setattr(
-            VectorEvaluator, "_summary_limits", counted_summary_limits
-        )
-        monkeypatch.setattr(VectorEvaluator, "_finish_fast", counted_finish)
+        def counted_finish(evaluator, *args):
+            result = finish(evaluator, *args)
+            right_limit, left_limit = args[3], args[5]
+            if result is None and (
+                math.ceil(left_limit) <= math.floor(right_limit)
+            ):
+                self.finish_stops += 1
+            return result
+
+        for name, patched in (
+            ("evaluate", counted_evaluate),
+            ("_push", counted_push),
+            ("_sides", counted_sides),
+            ("_summary_limits", counted_summary_limits),
+            ("_push_fast", counted_push_fast),
+            ("_finish_fast", counted_finish),
+        ):
+            monkeypatch.setattr(VectorEvaluator, name, patched)
 
     @property
     def pre_push_skips(self) -> int:
         return self.evaluations - self.pushes
-
-    @property
-    def post_push_skips(self) -> int:
-        return self.pushes_with_sites - self.finishes
 
 
 class TestDominanceCutoff:
@@ -496,8 +578,10 @@ class TestDominanceCutoff:
             == counter.evaluations
         )
         assert counter.pre_push_skips > 0
-        assert counter.post_push_skips > 0
         assert counter.summary_skips > 0
+        assert counter.table_cuts > 0
+        assert counter.walk_cuts > 0
+        assert counter.finish_stops > 0
 
     def test_post_push_bound_counts_savings_toward_gp(self):
         """A cell displaced left of its GP gains from being pushed right:
@@ -518,6 +602,78 @@ class TestDominanceCutoff:
         assert expected is not None and expected.moves
         assert expected.cost < -1e-3  # below the target-only bound of 0
         got = vector._vector.evaluate(
+            0, (gap,), vector.target_cost_lower_bound(0, (gap,)),
+            expected.cost, PRUNE_MARGIN,
+        )
+        _assert_same(got, expected)
+
+    def test_post_push_bound_charges_a_push_every_site_forces(self):
+        """A fixed wall ends at site 9, so the target at its GP (9) or
+        anywhere right of it pushes its right neighbour, which sits at
+        its own GP, at least one site: the candidate costs that push,
+        while the target alone costs nothing.  At an incumbent 1e-3
+        below the scalar cost it must return None before the finish."""
+        cell_type = CellType("S", 2, 1)
+        design = Design(Technology(cell_types=[cell_type]), num_rows=1,
+                        num_sites=40)
+        wall = design.add_cell("w", cell_type, 7, 0, fixed=True)
+        pushed = design.add_cell("p", cell_type, 10, 0)
+        target = design.add_cell("t", cell_type, 9, 0)
+        placement = Placement(design)
+        occupancy = Occupancy(design, placement)
+        for cell in (wall, pushed):
+            placement.move(cell, int(design.gp_x[cell]), 0)
+            occupancy.add(cell)
+        _, vector = _context_pair(design, occupancy, target)
+        (gap,) = [g for g in vector.gaps_in_row(0) if g.right_cell == pushed]
+        expected = vector.evaluate_scalar(0, (gap,))
+        assert expected is not None and expected.x == 9
+        assert expected.moves == [(pushed, 11)]
+        evaluator = vector._vector
+        sides = evaluator._push(0, (gap,), math.inf)
+        assert sides is not None and math.ceil(sides[3]) == 9
+        assert evaluator._target_floor(0, 9, math.floor(sides[1])) == 0.0
+        assert evaluator._cost_floor(0, sides) == pytest.approx(expected.cost)
+
+        def unreachable(*args):
+            raise AssertionError("the finish ran for a provable loser")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(VectorEvaluator, "_finish_fast", unreachable)
+            assert evaluator.evaluate(
+                0, (gap,), vector.target_cost_lower_bound(0, (gap,)),
+                expected.cost - 1e-3, PRUNE_MARGIN,
+            ) is None
+
+    def test_post_push_bound_caps_savings_at_the_reach(self):
+        """The right neighbour sits 20 sites left of its GP, but a fixed
+        wall stops it at 14, where the target's range ends at 12: it can
+        save 4 sites, not 20.  The bound credits exactly those 4, equals
+        the scalar cost, and at a tied incumbent the candidate must be
+        finished."""
+        cell_type = CellType("S", 2, 1)
+        design = Design(Technology(cell_types=[cell_type]), num_rows=1,
+                        num_sites=40)
+        pushed = design.add_cell("p", cell_type, 30, 0)
+        wall = design.add_cell("w", cell_type, 16, 0, fixed=True)
+        target = design.add_cell("t", cell_type, 12, 0)
+        placement = Placement(design)
+        occupancy = Occupancy(design, placement)
+        placement.move(pushed, 10, 0)
+        placement.move(wall, 16, 0)
+        for cell in (pushed, wall):
+            occupancy.add(cell)
+        _, vector = _context_pair(design, occupancy, target)
+        (gap,) = [g for g in vector.gaps_in_row(0) if g.right_cell == pushed]
+        expected = vector.evaluate_scalar(0, (gap,))
+        assert expected is not None and expected.x == 12
+        assert expected.moves == [(pushed, 14)]
+        assert expected.cost == pytest.approx(-4 * design.x_unit_rows)
+        evaluator = vector._vector
+        sides = evaluator._push(0, (gap,), math.inf)
+        assert sides is not None and math.floor(sides[1]) == 12
+        assert evaluator._cost_floor(0, sides) == pytest.approx(expected.cost)
+        got = evaluator.evaluate(
             0, (gap,), vector.target_cost_lower_bound(0, (gap,)),
             expected.cost, PRUNE_MARGIN,
         )
