@@ -33,10 +33,12 @@ both ratios are informational by default (the serial ratio is
 host-independent but modest; the stacked ratio scales with cores) —
 ``--require-backend-speedup X`` enforces a floor on the stacked ratio.
 
-A **tracing-overhead** section legalizes the backend-scale case
-untraced and traced at ``sample_every=16`` with a live progress emitter
-attached (best of two each): the placements must be bit-identical
-(fatal) and the wall overhead is recorded for the
+A **tracing-overhead** section legalizes the backend-scale case in
+pairs of one untraced run and one run traced at ``sample_every=16``
+with a live progress emitter attached, alternating which runs first:
+the
+placements must be bit-identical (fatal), and the median of the
+per-pair wall overheads, with its quartiles, is recorded for the
 ``check_regression.py --max-trace-overhead`` budget gate.  Skipped in
 ``--quick`` mode unless ``--overhead-scale`` is given — tiny runs
 measure timer noise, not tracing.
@@ -50,10 +52,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.benchgen.suites import iccad2017_suite
 from repro.core.mgl import MGLegalizer
@@ -80,6 +83,9 @@ SHARD_HALO_ROWS = 2
 OVERHEAD_SCALE = BACKEND_SCALE
 OVERHEAD_CASE = BACKEND_CASE
 OVERHEAD_SAMPLE_EVERY = 16
+# Untraced/sampled pairs the overhead gate takes its median over: one
+# pair of runs swings by tens of percent on a busy 2-core host.
+OVERHEAD_PAIRS = 5
 
 RunRecord = Dict[str, Union[str, int, float]]
 
@@ -408,9 +414,47 @@ def run_sharded_section(
     }
 
 
+def time_overhead_pairs(
+    one_run: Callable[[bool], RunRecord], pairs: int
+) -> Dict[str, Union[int, float, List[float]]]:
+    """Time untraced and traced runs in pairs; summarize their overheads.
+
+    ``one_run(traced)`` legalizes once and returns a record with its
+    ``seconds``.  Each pair is one untraced and one traced run back to
+    back, so host drift slower than a pair cancels out of its overhead,
+    and the pairs alternate which runs first, so neither configuration
+    always inherits the other's warm or cold state.  Returns the median
+    and quartiles of the per-pair overheads in percent, plus the median
+    seconds of each configuration.
+    """
+    if pairs < 2:
+        raise ValueError(f"need at least 2 pairs, got {pairs}")
+    plain_seconds: List[float] = []
+    sampled_seconds: List[float] = []
+    overheads: List[float] = []
+    for index in range(pairs):
+        seconds: Dict[bool, float] = {}
+        for traced in ((False, True) if index % 2 == 0 else (True, False)):
+            seconds[traced] = float(one_run(traced)["seconds"])
+        plain, sampled = seconds[False], seconds[True]
+        plain_seconds.append(plain)
+        sampled_seconds.append(sampled)
+        overheads.append(100.0 * (sampled - plain) / max(plain, 1e-9))
+    q1, median, q3 = statistics.quantiles(overheads, n=4, method="inclusive")
+    return {
+        "pairs": pairs,
+        "plain_seconds": round(statistics.median(plain_seconds), 4),
+        "sampled_seconds": round(statistics.median(sampled_seconds), 4),
+        "overhead_pct": round(median, 2),
+        "overhead_q1_pct": round(q1, 2),
+        "overhead_q3_pct": round(q3, 2),
+        "pair_overheads_pct": [round(value, 2) for value in overheads],
+    }
+
+
 def run_tracing_overhead_section(
-    name: str, scale: float, sample_every: int
-) -> Dict[str, Union[str, int, float, bool]]:
+    name: str, scale: float, sample_every: int, pairs: int = OVERHEAD_PAIRS
+) -> Dict[str, Union[str, int, float, bool, List[float]]]:
     """Untraced vs sampled-traced serial MGL: wall overhead + identity.
 
     The always-on observability budget: a run traced at
@@ -419,14 +463,16 @@ def run_tracing_overhead_section(
     fatal in ``main`` when it does not — and (b) cost only a few
     percent of wall time (``check_regression.py --max-trace-overhead``
     gates the percentage; ``--require-trace-overhead`` enforces it here
-    directly).  Each configuration runs twice and the faster time
-    counts, damping one-off scheduler noise on CI boxes.
+    directly).  The percentage is the median over ``pairs`` alternating
+    untraced/sampled pairs (:func:`time_overhead_pairs`); a single pair
+    cannot resolve 5% on a 2-core host.
     """
     from repro.obs.progress import ProgressEmitter
 
     case = next(c for c in iccad2017_suite(scale=scale, names=[name]))
+    records: Dict[bool, List[RunRecord]] = {False: [], True: []}
 
-    def one_run(traced: bool) -> Dict[str, Union[str, int, float]]:
+    def one_run(traced: bool) -> RunRecord:
         design = case.build()
         tracer = SpanTracer(sample_every=sample_every) if traced else None
         events: List[Dict[str, object]] = []
@@ -443,7 +489,7 @@ def run_tracing_overhead_section(
         start = time.perf_counter()
         placement = legalizer.run()
         seconds = time.perf_counter() - start
-        record: Dict[str, Union[str, int, float]] = {
+        record: RunRecord = {
             "seconds": seconds,
             "hash": placement_hash(placement),
             "cells": design.num_cells,
@@ -452,27 +498,18 @@ def run_tracing_overhead_section(
             record["span_count"] = tracer.span_count()
             record["structure_hash"] = tracer.structure_hash()
             record["progress_events"] = len(events)
+        records[traced].append(record)
         return record
 
-    plain_runs = [one_run(traced=False) for _ in range(2)]
-    sampled_runs = [one_run(traced=True) for _ in range(2)]
-    plain = min(plain_runs, key=lambda r: float(r["seconds"]))
-    sampled = min(sampled_runs, key=lambda r: float(r["seconds"]))
-    hashes = {str(r["hash"]) for r in plain_runs + sampled_runs}
-    plain_seconds = float(plain["seconds"])
-    sampled_seconds = float(sampled["seconds"])
+    timing = time_overhead_pairs(one_run, pairs)
+    plain, sampled = records[False][0], records[True][0]
+    hashes = {str(r["hash"]) for r in records[False] + records[True]}
     return {
         "name": name,
         "scale": scale,
         "cells": int(plain["cells"]),
         "sample_every": sample_every,
-        "plain_seconds": round(plain_seconds, 4),
-        "sampled_seconds": round(sampled_seconds, 4),
-        "overhead_pct": round(
-            100.0 * (sampled_seconds - plain_seconds)
-            / max(plain_seconds, 1e-9),
-            2,
-        ),
+        **timing,
         "plain_hash": str(plain["hash"]),
         "sampled_hash": str(sampled["hash"]),
         "hashes_match": len(hashes) == 1,
@@ -699,7 +736,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             print(f"DETERMINISM FAILURE: {failures[-1]}", file=sys.stderr)
 
-    overhead_section: Optional[Dict[str, Union[str, int, float, bool]]] = None
+    overhead_section: Optional[
+        Dict[str, Union[str, int, float, bool, List[float]]]
+    ] = None
     run_overhead = not args.no_overhead_section and (
         not args.quick or args.overhead_scale is not None
     )
@@ -714,7 +753,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"k={overhead_section['sample_every']}  "
             f"plain {overhead_section['plain_seconds']}s vs sampled "
             f"{overhead_section['sampled_seconds']}s  "
-            f"overhead {overhead_section['overhead_pct']:+}%  "
+            f"overhead {overhead_section['overhead_pct']:+}% median of "
+            f"{overhead_section['pairs']} pairs "
+            f"(quartiles {overhead_section['overhead_q1_pct']:+}% to "
+            f"{overhead_section['overhead_q3_pct']:+}%)  "
             f"spans={overhead_section['span_count']} "
             f"events={overhead_section['progress_events']}  "
             f"hashes_match={overhead_section['hashes_match']}"

@@ -429,6 +429,13 @@ def render_summary(
         status = (
             "ok" if overhead.get("hashes_match") else "**HASH DIVERGED**"
         )
+        spread = (
+            f", median of {overhead['pairs']} pairs, quartiles "
+            f"{overhead.get('overhead_q1_pct')}% to "
+            f"{overhead.get('overhead_q3_pct')}%"
+            if "pairs" in overhead
+            else ""
+        )
         lines += [
             "### Tracing overhead",
             "",
@@ -436,7 +443,7 @@ def render_summary(
             f"{overhead.get('name')}@{overhead.get('scale')}: "
             f"{overhead.get('plain_seconds')}s -> "
             f"{overhead.get('sampled_seconds')}s "
-            f"(**{overhead.get('overhead_pct')}%**), "
+            f"(**{overhead.get('overhead_pct')}%**{spread}), "
             f"{overhead.get('span_count')} spans, "
             f"{overhead.get('progress_events')} progress events — "
             f"{status}.",

@@ -83,8 +83,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
                         help="scheduler L_p capacity (default 1; implied "
                              "4*workers when --workers is set)")
     parser.add_argument("--workers", type=int, default=0,
-                        help="evaluation worker processes for the MGL "
-                             "scheduler (default 0 = in-process); "
+                        help="processes that evaluate the MGL scheduler's "
+                             "batches, this one included: N starts N-1 "
+                             "workers (default 0; 0 and 1 run in process); "
                              "placements are bit-identical for any value. "
                              "With --shards this sizes the shard process "
                              "pool instead")

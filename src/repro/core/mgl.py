@@ -10,7 +10,7 @@ feasible insertion point exists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.core.insertion import EvaluatedInsertion, InsertionContext
 from repro.core.occupancy import Occupancy
@@ -295,7 +295,7 @@ class MGLegalizer:
         deliberately *not* resolved here — :meth:`soa` memoizes on the
         legalizer, a write this contract-pure method may not make.
         Callers resolve it and pass it in (see
-        :meth:`evaluate_and_count`, :meth:`evaluate_insert_many`);
+        :meth:`evaluate_and_count`);
         leaving it None simply runs the scalar backend, which is
         result-identical.
         """
@@ -312,28 +312,6 @@ class MGLegalizer:
         )
         max_points = 1 << 30 if exhaustive else MAX_INSERTION_POINTS
         return context.evaluate_best_first(max_points, PRUNE_MARGIN)
-
-    def evaluate_insert_many(
-        self,
-        occupancy: Occupancy,
-        tasks: Sequence[Tuple[int, Rect]],
-        exhaustive: bool = False,
-    ) -> List[Tuple[Optional[EvaluatedInsertion], int]]:
-        """Batched :meth:`evaluate_insert` over ``(cell, window)`` tasks.
-
-        All tasks are evaluated against the same frozen occupancy, with
-        the design tables resolved once for the batch.  Results are
-        element-for-element exactly ``evaluate_insert(occupancy, cell,
-        window)``.
-        """
-        soa = self.soa()
-        return [
-            self.evaluate_insert(
-                occupancy, cell, window,
-                exhaustive=exhaustive, soa=soa,
-            )
-            for cell, window in tasks
-        ]
 
     def try_insert(
         self,

@@ -166,6 +166,10 @@ class Occupancy:
         """Mutation counter of ``row`` (see ``_row_versions`` above)."""
         return self._row_versions[row]
 
+    def row_versions(self) -> List[int]:
+        """A copy of every row's :meth:`row_version`, by row."""
+        return list(self._row_versions)
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

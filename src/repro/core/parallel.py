@@ -2,12 +2,21 @@
 
 Python threads cannot speed MGL up — the GIL serializes them — so both
 parallel paths run on worker **processes**, through one
-:class:`WorkerPool`.  The pool owns the start method, spawning, the
-``("init", ...)`` handshake, striping items over the live workers with
-exactly one ``("work", share)`` message and one
+:class:`WorkerPool`.  The pool has *lanes*: lane 0 is this process and
+lanes 1 .. N-1 are worker processes, so N lanes are N processes that
+evaluate.  The pool owns the start method, spawning, striping each
+round's items over the live lanes (item ``i`` to lane ``i mod lanes``)
+with exactly one ``("work", share)`` message and one
 ``("results", results, busy_seconds)`` reply per worker and round,
-retirement, and shutdown.  It has two users, each with its own worker
-entry point:
+retirement, and shutdown.  A worker receives its state as
+:class:`~multiprocessing.Process` arguments, which the fork start method
+hands over without pickling (spawn pickles them), and answers
+``("ready",)`` once it has built what it needs.  Each round, lane 0
+computes its stripe with the caller's *local* function while the
+workers compute theirs; the same function recomputes every item a lost
+worker held, so :meth:`WorkerPool.run` always returns complete results.
+It has two users, each with its own worker entry point and one local
+function:
 
 * :class:`ParallelEvaluator` evaluates the window scheduler's batches
   (:mod:`repro.core.scheduler`) with :func:`worker_main`.  Every worker
@@ -21,22 +30,23 @@ entry point:
   :meth:`Occupancy.row_version` for every row its window spans; the
   worker verifies its mirrored versions match (modulo a fixed offset
   captured at spawn) before evaluating, so a protocol bug fails loudly
-  instead of silently diverging.  Workers only ever run the *pure*
+  instead of silently diverging.  Lane 0 reads the live occupancy,
+  which holds the batch-start state until the scheduler applies the
+  batch, so it needs no mirror.  Every lane only ever runs the *pure*
   :meth:`MGLegalizer.evaluate_insert`; the scheduler applies the
   results **serially in selection order** with its usual conflict
   re-check.
 * :func:`repro.core.shard.run_sharded` legalizes fresh shard interiors
   with :func:`repro.core.shard.shard_worker_main`.
 
-Either way a worker computes exactly what the parent would compute in
-process, so the placement is bit-identical for any worker count,
-including zero.
+Either way a worker computes exactly what the local function computes,
+so the placement is bit-identical for any lane count.
 
 Failure policy: a worker that cannot be spawned (or finds no start
 method at all), crashes, hangs past :data:`WORKER_TIMEOUT`, or is handed
-a share that cannot be pickled is retired.  The items it held come back
-as None from :meth:`WorkerPool.run`, and the caller computes them in
-process, so no cell is ever lost to a parallel-infrastructure failure.
+a share that cannot be pickled is retired, and the local function
+recomputes the items it held, so no cell is ever lost to a
+parallel-infrastructure failure.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from typing import (
     Any, Callable, List, Optional, Sequence, Tuple, TypeVar, TYPE_CHECKING,
+    cast,
 )
 
 from repro.core.insertion import EvaluatedInsertion
@@ -63,17 +74,20 @@ if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
     from repro.core.mgl import MGLegalizer
-    from repro.core.scheduler import EvalOutcome
 
-#: Seconds the parent waits for one worker's reply (its init handshake
+#: Seconds the parent waits for one worker's reply (its ready handshake
 #: or one round's results) before retiring it.  Generous: a share is at
 #: most ``scheduler_capacity`` window evaluations or a few shard
 #: interiors.
 WORKER_TIMEOUT = 300.0
 
-#: One evaluation request: (cell, window, row tags).  The tags are
-#: ``(row, parent_row_version)`` pairs covering every row the window
-#: spans — the exact occupancy state the evaluation reads.
+#: One window evaluation: (cell, window).  The items of a scheduler
+#: round, and what its local function takes.
+EvalTask = Tuple[int, Rect]
+
+#: One evaluation request on the wire: (cell, window, row tags).  The
+#: tags are ``(row, parent_row_version)`` pairs covering every row the
+#: window spans — the exact occupancy state the evaluation reads.
 TaskSpec = Tuple[int, Rect, Tuple[Tuple[int, int], ...]]
 
 #: One evaluation response: (best insertion or None, points evaluated,
@@ -83,6 +97,7 @@ TaskSpec = Tuple[int, Rect, Tuple[Tuple[int, int], ...]]
 ResultSpec = Tuple[Optional[EvaluatedInsertion], int, Optional[SpanPayload]]
 
 Item = TypeVar("Item")
+Result = TypeVar("Result")
 
 
 class ParallelUnavailable(RuntimeError):
@@ -92,9 +107,10 @@ class ParallelUnavailable(RuntimeError):
 def _pick_context() -> "ForkContext | SpawnContext":
     """The cheapest start method available: fork where supported.
 
-    Forked workers still receive their full state through the init
-    message (nothing is read from inherited globals), so the choice of
-    start method affects spawn latency only, never results.
+    Workers read nothing from inherited globals: their state arrives as
+    ``Process`` arguments under either method (fork shares them, spawn
+    pickles them), so the choice affects start-up cost only, never
+    results.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
@@ -120,33 +136,29 @@ def _apply_ops(
             occupancy.remove(cell)
 
 
-def worker_main(conn: Connection) -> None:
+def worker_main(conn: Connection, init: Tuple[Any, ...]) -> None:
     """Entry point of one window-evaluation worker process.
 
     Protocol (see :class:`WorkerPool`):
 
-    * receive ``("init", design, params, reference, placed, versions)``
-      once — build the legalizer and the occupancy mirror, reply
-      ``("ready",)``;
+    * ``init`` is ``(design, params, reference, placed, versions)``:
+      build the legalizer and the occupancy mirror, reply ``("ready",)``;
     * then repeatedly receive
       ``("work", (index, ops_blob, tasks, want_spans))`` — apply the
       pickled journal slice, verify row-version tags, evaluate every
       task (building ``evaluate`` span payloads, stamped with this
-      worker's ``index``, when ``want_spans``), reply
+      worker's lane ``index``, when ``want_spans``), reply
       ``("results", results, busy_seconds)``;
     * ``("stop",)`` ends the loop.
 
     Any exception is reported as ``("error", message)`` and kills the
-    worker: its mirror can no longer be trusted, and the parent falls
-    back to in-process evaluation for its share of the work.
+    worker: its mirror can no longer be trusted, and the parent
+    recomputes its share of the work.
     """
     from repro.core.mgl import MGLegalizer, evaluation_span_payload
 
     try:
-        message = conn.recv()
-        if message[0] != "init":  # pragma: no cover - protocol guard
-            raise RuntimeError(f"expected init, got {message[0]!r}")
-        design, params, reference, placed, parent_versions = message[1:]
+        design, params, reference, placed, parent_versions = init
         assert isinstance(params, LegalizerParams)
         legalizer = MGLegalizer(design, params, reference=reference)
         placement = Placement(design)
@@ -231,15 +243,19 @@ class PoolNames:
     failures: str
     #: Stats key counting workers that completed the handshake.
     spawned: str
+    #: Stats key counting items this process computed in place of a
+    #: worker: beyond lane 0's share of the lanes the pool was asked for.
+    fallbacks: str
     #: Metrics counter of workers retired after they were started.
     retired: str
-    #: Prefix of the per-worker busy timers (``<busy><index>``).
+    #: Prefix of the per-lane busy timers (``<busy><lane>``).
     busy: str
 
 
 SCHEDULER_POOL = PoolNames(
     failures="parallel_worker_failures",
     spawned="scheduler_workers_spawned",
+    fallbacks="parallel_fallbacks",
     retired="scheduler.worker_retired",
     busy="parallel.worker",
 )
@@ -249,68 +265,75 @@ SCHEDULER_POOL = PoolNames(
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
 
+    #: The worker's lane, 1 and up (lane 0 is this process).
     index: int
     process: "BaseProcess"
     conn: Connection
     alive: bool = True
+    #: Holds a work message it has not answered yet.
+    busy: bool = False
 
 
 class WorkerPool:
-    """Persistent worker processes, each taking one share per round.
+    """This process plus ``lanes - 1`` persistent workers, one stripe each.
 
-    Every worker runs ``target(conn)``, receives ``("init", *init)``
-    and must answer ``("ready",)``; :meth:`run` then sends it
+    Every worker runs ``target(conn, init)`` and must answer
+    ``("ready",)`` once its state is built; :meth:`run` then sends it
     ``("work", share)`` and expects ``("results", results,
     busy_seconds)`` with one result per share item, in order, and
     :meth:`close` sends ``("stop",)``.  A worker may answer
-    ``("error", message)`` instead; the pool retires it.
+    ``("error", message)`` instead; the pool retires it.  With fewer
+    than two lanes no worker is spawned and :meth:`run` computes every
+    item here.
 
     Args:
         target: the worker entry point, looked up by the caller when the
             pool is built (tests and the sanitizer replace it by name).
-        init: the payload of the init message.
-        num_workers: processes to spawn.
+        init: the worker's state, passed as a ``Process`` argument.
+        lanes: processes that compute, this one included.
         legalizer: its ``stats`` and ``observer`` record the workers.
         names: the stats keys and metric names those records use.
     """
 
     def __init__(
         self,
-        target: Callable[[Connection], None],
+        target: Callable[[Connection, Tuple[Any, ...]], None],
         init: Tuple[Any, ...],
-        num_workers: int,
+        lanes: int,
         legalizer: "MGLegalizer",
         names: PoolNames,
     ):
         self.names = names
         self.stats = legalizer.stats
         self.observer = legalizer.observer
+        self.lanes = max(lanes, 1)
         self.workers: List[_Worker] = []
-        self.stats.setdefault(names.failures, 0)
-        self.stats.setdefault(names.spawned, 0)
+        for key in (names.failures, names.spawned, names.fallbacks):
+            self.stats.setdefault(key, 0)
+        if lanes < 2:
+            return
         try:
             context = _pick_context()
         except Exception:  # noqa: BLE001 - no start method: no workers
-            self.stats[names.failures] += num_workers
+            self.stats[names.failures] += lanes - 1
             return
-        for index in range(num_workers):
+        for lane in range(1, lanes):
             try:
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
-                    target=target, args=(child_conn,), daemon=True
+                    target=target, args=(child_conn, init), daemon=True
                 )
                 process.start()
                 child_conn.close()
-                parent_conn.send(("init", *init))
-                self.workers.append(_Worker(index, process, parent_conn))
+                self.workers.append(_Worker(lane, process, parent_conn))
             except Exception:  # noqa: BLE001 - spawn failure => fewer workers
                 self.stats[names.failures] += 1
-        # Handshake: a worker that cannot init (or hangs) is retired now.
+        # Handshake: a worker that cannot start (or hangs) is retired now.
         for worker in self.workers:
             try:
                 reply = self._receive(worker)
                 if reply[0] != "ready":
-                    raise RuntimeError(f"worker init failed: {reply!r}")
+                    raise RuntimeError(f"worker start failed: {reply!r}")
             except Exception:  # noqa: BLE001
                 self._retire(worker)
         self.stats[names.spawned] += len(self.alive)
@@ -323,51 +346,84 @@ class WorkerPool:
     def run(
         self,
         items: Sequence[Item],
+        local: Callable[[Item], Result],
         share: Optional[Callable[[int, List[Item]], Any]] = None,
-    ) -> List[Any]:
-        """One round: every live worker computes its stripe of ``items``.
+    ) -> List[Result]:
+        """One round: every live lane computes its stripe of ``items``.
 
-        Item ``i`` goes to live worker ``i mod n``; ``share(index,
-        stripe)`` builds the payload of that worker's one work message
-        (the stripe itself when ``share`` is None).  Returns the results
-        aligned with ``items``, with None for every item whose worker
-        failed at any point of the round — the caller computes those in
-        process.
+        With ``lanes`` this process plus the live workers, item ``i``
+        goes to lane ``i mod lanes``, so lane 0 (this process) takes the
+        larger stripe when the items do not divide evenly.  Each worker
+        first gets one work message, built by ``share(index, stripe)``
+        (the stripe itself when ``share`` is None); then ``local``
+        computes lane 0's stripe here while the workers compute theirs.
+        ``local`` also recomputes, in item order, every item of a worker
+        retired during the round.  Returns one result per item, in
+        order; an exception from ``local`` propagates, and the caller's
+        :meth:`close` then ends the workers still computing.
         """
-        results: List[Any] = [None] * len(items)
         alive = self.alive
+        lanes = len(alive) + 1
+        results: List[Optional[Result]] = [None] * len(items)
+        lost: List[int] = []
         pending: List[Tuple[_Worker, range]] = []
-        for position, worker in enumerate(alive):
-            slots = range(position, len(items), len(alive))
+        for position, worker in enumerate(alive, start=1):
+            slots = range(position, len(items), lanes)
             if not slots:
                 continue
             stripe = [items[slot] for slot in slots]
             try:
                 payload = stripe if share is None else share(worker.index, stripe)
                 worker.conn.send(("work", payload))
-            except Exception:  # noqa: BLE001 - retire, caller recomputes
+            except Exception:  # noqa: BLE001 - retire, recompute here
                 self._retire(worker)
+                lost.extend(slots)
                 continue
+            worker.busy = True
             pending.append((worker, slots))
+        busy_start = monotonic()
+        for slot in range(0, len(items), lanes):
+            results[slot] = local(items[slot])
+        if alive:
+            self.observer.record_time(
+                f"{self.names.busy}0", monotonic() - busy_start
+            )
         for worker, slots in pending:
             try:
                 reply = self._receive(worker)
+                worker.busy = False
                 if reply[0] != "results":
                     raise RuntimeError(f"worker reported: {reply!r}")
                 _tag, worker_results, busy_seconds = reply
+                if len(worker_results) != len(slots):
+                    raise RuntimeError(
+                        f"worker returned {len(worker_results)} results "
+                        f"for {len(slots)} items"
+                    )
                 self.observer.record_time(
                     f"{self.names.busy}{worker.index}", busy_seconds
                 )
                 for slot, result in zip(slots, worker_results):
                     results[slot] = result
-            except Exception:  # noqa: BLE001 - retire, caller recomputes
+            except Exception:  # noqa: BLE001 - retire, recompute here
                 self._retire(worker)
-        return results
+                lost.extend(slots)
+        self.stats[self.names.fallbacks] += (
+            len(range(0, len(items), lanes)) + len(lost)
+            - len(range(0, len(items), self.lanes))
+        )
+        for slot in sorted(lost):
+            results[slot] = local(items[slot])
+        return cast(List[Result], results)
 
     def close(self) -> None:
-        """Stop every live worker and reap all processes (idempotent)."""
+        """Stop every live worker and reap all processes (idempotent).
+
+        A worker still holding work — its round was abandoned by an
+        exception in lane 0 — is terminated instead of stopped.
+        """
         for worker in self.workers:
-            if worker.alive:
+            if worker.alive and not worker.busy:
                 try:
                     worker.conn.send(("stop",))
                 except Exception:  # noqa: BLE001
@@ -375,6 +431,8 @@ class WorkerPool:
             worker.alive = False
             worker.conn.close()
         for worker in self.workers:
+            if worker.busy and worker.process.is_alive():
+                worker.process.terminate()
             worker.process.join(timeout=5.0)
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.terminate()
@@ -390,6 +448,7 @@ class WorkerPool:
         if not worker.alive:
             return
         worker.alive = False
+        worker.busy = False
         self.stats[self.names.failures] += 1
         # The in-process recompute makes retirement invisible in the
         # placement, so surface it in the metrics registry explicitly.
@@ -412,10 +471,14 @@ class ParallelEvaluator:
 
     Args:
         legalizer: the scheduler's legalizer (provides params, stats,
-            and the observer that receives per-worker busy timers and
+            and the observer that receives per-lane busy timers and
             retirement counts).
         occupancy: the live occupancy the scheduler mutates.
-        num_workers: processes to spawn (>= 1).
+        lanes: processes that evaluate, this one included (>= 2 for a
+            worker to be spawned).
+        local: evaluates one batch member in this process against the
+            live occupancy, which still holds the batch-start state:
+            lane 0's members and every member a lost worker held.
 
     Raises:
         ParallelUnavailable: when no worker survives the spawn
@@ -423,44 +486,48 @@ class ParallelEvaluator:
     """
 
     def __init__(
-        self, legalizer: "MGLegalizer", occupancy: Occupancy, num_workers: int
+        self,
+        legalizer: "MGLegalizer",
+        occupancy: Occupancy,
+        lanes: int,
+        local: Callable[[EvalTask], ResultSpec],
     ):
         self.legalizer = legalizer
         self.occupancy = occupancy
+        self.local = local
         self._journal: List[DeltaOp] = []
         self._base = 0  # Absolute journal position of self._journal[0].
-        #: Absolute journal position each worker's mirror has applied.
-        self._positions = [0] * num_workers
+        #: Absolute journal position each worker's mirror has applied,
+        #: by lane (lane 0, this process, reads the live occupancy).
+        self._positions = [0] * max(lanes, 1)
         stats = legalizer.stats
         for key in (
             "parallel_batches",
             "parallel_tasks",
-            "parallel_fallbacks",
             "parallel_delta_ops",
             "parallel_delta_bytes",
         ):
             stats.setdefault(key, 0)
 
-        design = legalizer.design
         placement = occupancy.placement
         placed = sorted(occupancy.placed_cells)
         self.pool = WorkerPool(
             worker_main,
             (
-                design,
+                legalizer.design,
                 legalizer.params,
                 legalizer.reference,
                 [(cell, placement.x[cell], placement.y[cell]) for cell in placed],
-                [occupancy.row_version(row) for row in range(design.num_rows)],
+                occupancy.row_versions(),
             ),
-            num_workers,
+            lanes,
             legalizer,
             SCHEDULER_POOL,
         )
         if not self.pool.alive:
             self.pool.close()
             raise ParallelUnavailable(
-                f"none of {num_workers} evaluation workers came up"
+                f"none of {max(lanes - 1, 0)} evaluation workers came up"
             )
         occupancy.set_journal(self._journal)
 
@@ -470,23 +537,18 @@ class ParallelEvaluator:
         return bool(self.pool.alive)
 
     def evaluate_batch(
-        self,
-        batch: Sequence[Tuple[int, float, int, Rect]],
-        want_payloads: bool = False,
-    ) -> List[Optional[EvalOutcome]]:
-        """Evaluate one scheduler batch on the pool.
+        self, batch: Sequence[EvalTask], want_payloads: bool = False
+    ) -> List[ResultSpec]:
+        """Evaluate one scheduler batch on the pool's lanes.
 
-        Returns one ``(insertion, payload)`` pair per batch member (the
-        payload only when ``want_payloads``), or None for each member
-        whose worker failed; the scheduler evaluates those in process
-        against the live occupancy, which still holds the batch-start
-        state.
+        Returns one result per member, in order, wherever it ran;
+        workers build payloads only when ``want_payloads``.
         """
         stats = self.legalizer.stats
         journal_end = self._base + len(self._journal)
 
         def share(
-            index: int, tasks: List[TaskSpec]
+            index: int, stripe: List[EvalTask]
         ) -> Tuple[int, bytes, List[TaskSpec], bool]:
             # Each worker gets the journal suffix its mirror has not
             # replayed yet.
@@ -495,24 +557,17 @@ class ParallelEvaluator:
             self._positions[index] = journal_end
             stats["parallel_delta_ops"] += len(ops)
             stats["parallel_delta_bytes"] += len(blob)
+            tasks = [
+                (cell, window, self._row_tags(window))
+                for cell, window in stripe
+            ]
             return index, blob, tasks, want_payloads
 
-        tasks: List[TaskSpec] = [
-            (cell, window, self._row_tags(window))
-            for cell, _scale, _attempts, window in batch
-        ]
-        outcomes: List[Optional[EvalOutcome]] = [None] * len(batch)
-        for slot, result in enumerate(self.pool.run(tasks, share)):
-            if result is not None:
-                best, points, payload = result
-                stats["insertions_evaluated"] += points
-                outcomes[slot] = (best, payload)
-        lost = outcomes.count(None)
+        results = self.pool.run(batch, self.local, share)
         stats["parallel_batches"] += 1
-        stats["parallel_tasks"] += len(outcomes) - lost
-        stats["parallel_fallbacks"] += lost
+        stats["parallel_tasks"] += len(batch)
         self._compact()
-        return outcomes
+        return results
 
     def close(self) -> None:
         """Detach the journal and shut the pool down."""

@@ -53,22 +53,23 @@ class LegalizerParams:
             The default of 1 is plain sequential MGL — Python gains no
             wall-clock from batching (GIL), so the scheduler is for
             reproducing the paper's determinism claim, not for speed.
-        scheduler_workers: *process*-pool size for the scheduler's
-            evaluation phase (0 = in-process).  Worker processes
-            sidestep the GIL but have not yet paid for themselves on
-            2 cores: capacity 32 on 2 workers took 2.18 s of MGL on the
-            ``dense_pool`` benchmark against 1.61 s serial, and
-            ``bench_perf.py --quick``'s parallel section (capacity 8, 2
-            workers) measured 0.69x and 0.70x the serial speed in two
-            runs.  Placements are bit-identical to the in-process path
-            for any worker count (see repro.core.parallel).  When
-            ``shards > 1`` this is reused as the *shard* process pool
-            size instead (see repro.core.shard).
+        scheduler_workers: processes that evaluate the scheduler's
+            batches, this one included: N > 1 makes this process lane
+            0 of a pool with N - 1 worker processes, which sidestep the
+            GIL; 0 and 1 both evaluate in process.  Lanes beyond the
+            cores lose.  On the 2-core ``dense_pool`` benchmark,
+            capacity 32 on 2 lanes took a median 0.96 s of MGL, against
+            1.12 s in process and 0.89 s serial (perfbench ledger, three
+            runs), so the scheduler is not yet a speed-up there.
+            Placements are bit-identical to the in-process path for any
+            value (see repro.core.parallel).  When ``shards > 1`` this
+            is the lane count of the *shard* pool instead, capped at
+            the shard count (see repro.core.shard).
         shards: number of fence-aware row-band shards MGL partitions
             the die into (see repro.core.shard).  1 (the default) is
             the unsharded path; >1 legalizes shard interiors
-            independently — in ``scheduler_workers`` processes when set
-            — then reconciles halo-resident cells deterministically.
+            independently — in ``scheduler_workers`` lanes when set —
+            then reconciles halo-resident cells deterministically.
             For a fixed topology the placement is bit-identical for any
             worker count; changing the shard count is a *topology*
             change and legitimately moves cells near band boundaries.

@@ -38,21 +38,23 @@ The pipeline:
    conflict-free and are committed directly.
 
 Determinism: an interior result is a pure function of
-``(design, params, shard)`` — the worker pool computes exactly
-:func:`legalize_shard_interior`, the same function the in-process
-fallback runs, and reconciliation always runs in the parent in a fixed
-order — so for a fixed topology the final placement is bit-identical
-for any worker count, including zero.  With ``shards=1`` the single
+``(design, params, shard)`` — every lane of the worker pool, this
+process included, computes exactly :func:`legalize_shard_interior`, and
+reconciliation always runs in the parent in a fixed order — so for a
+fixed topology the final placement is bit-identical for any worker
+count, including zero.  With ``shards=1`` the single
 shard's rect *is* the chip rect, the window clamp is the identity, and
 the interior loop degenerates to exactly the sequential path of
 :meth:`MGLegalizer.run` (reconciliation has no halo bands and nothing
 to do), reproducing the unsharded placement bit-exactly.
 
 Interiors run on :class:`repro.core.parallel.WorkerPool`, the process
-pool the §3.5 scheduler uses too, and share its failure policy: a shard
-worker that cannot spawn, crashes, hangs past
+pool the §3.5 scheduler uses too, in ``min(scheduler_workers, shards)``
+lanes: this process computes shard 0 (and every shard at index ``0 mod
+lanes``) while the workers compute theirs.  They share its failure
+policy: a shard worker that cannot spawn, crashes, hangs past
 :data:`~repro.core.parallel.WORKER_TIMEOUT`, or is handed shards that
-cannot be pickled is retired, and its shards are recomputed in-process,
+cannot be pickled is retired, and this process recomputes its shards,
 so sharding can slow down but never lose cells or change the answer.
 """
 
@@ -63,7 +65,7 @@ import pickle
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.mgl import (
     MAX_EXPANSIONS,
@@ -374,33 +376,30 @@ def _legalize_cell_clamped(
 SHARD_POOL = PoolNames(
     failures="shard_worker_failures",
     spawned="shard_workers_spawned",
+    fallbacks="shard_fallbacks",
     retired="shard.worker_retired",
     busy="shard.worker",
 )
 
 
-def shard_worker_main(conn: Connection) -> None:
+def shard_worker_main(conn: Connection, init: Tuple[Any, ...]) -> None:
     """Entry point of one shard worker process.
 
     Protocol (see :class:`~repro.core.parallel.WorkerPool`; no occupancy
     journal — shard occupancies are disjoint, so there is no shared
     state to mirror):
 
-    * receive ``("init", design, params, reference)`` once, reply
-      ``("ready",)``;
+    * ``init`` is ``(design, params, reference)``; reply ``("ready",)``;
     * then repeatedly receive ``("work", [Shard, ...])`` — run
       :func:`legalize_shard_interior` on each, reply
       ``("results", [ShardInteriorResult, ...], busy_seconds)``;
     * ``("stop",)`` ends the loop.
 
     Any exception is reported as ``("error", message)`` and kills the
-    worker; the parent recomputes its shards in-process.
+    worker; the parent recomputes its shards.
     """
     try:
-        message = conn.recv()
-        if message[0] != "init":  # pragma: no cover - protocol guard
-            raise RuntimeError(f"expected init, got {message[0]!r}")
-        design, params, reference = message[1:]
+        design, params, reference = init
         assert isinstance(params, LegalizerParams)
         conn.send(("ready",))
         while True:
@@ -488,37 +487,32 @@ def run_sharded(legalizer: MGLegalizer, occupancy: Occupancy) -> None:
                 shards=len(topology.shards), halo_rows=topology.halo_rows
             )
 
-        pooled: List[Optional[ShardInteriorResult]] = [None] * len(
-            topology.shards
-        )
-        num_workers = min(params.scheduler_workers, len(topology.shards))
+        lanes = min(params.scheduler_workers, len(topology.shards))
         progress.phase(
             "shard_interiors",
             shards=len(topology.shards),
             halo_rows=topology.halo_rows,
-            workers=num_workers,
+            workers=lanes,
         )
-        if num_workers >= 1:
-            pool = WorkerPool(
-                shard_worker_main,
-                (design, iparams, legalizer.reference),
-                num_workers,
-                legalizer,
-                SHARD_POOL,
-            )
-            try:
-                pooled = pool.run(topology.shards)
-            finally:
-                pool.close()
-            stats["shard_fallbacks"] += pooled.count(None)
-        # Shards the pool lost (or all of them, without one) are
-        # computed here: the same pure function the workers run.
-        results = [
-            result if result is not None else legalize_shard_interior(
-                design, iparams, legalizer.reference, shard
-            )
-            for shard, result in zip(topology.shards, pooled)
-        ]
+        reference = legalizer.reference
+
+        def interior(shard: Shard) -> ShardInteriorResult:
+            # Lane 0, every shard a lost worker held, and every shard
+            # when there are fewer than two lanes: the same pure
+            # function the workers run.
+            return legalize_shard_interior(design, iparams, reference, shard)
+
+        pool = WorkerPool(
+            shard_worker_main,
+            (design, iparams, reference),
+            lanes,
+            legalizer,
+            SHARD_POOL,
+        )
+        try:
+            results = pool.run(topology.shards, interior)
+        finally:
+            pool.close()
 
         # Merge interior counters and emit per-shard observability in
         # shard order — everything below is derived from the results,

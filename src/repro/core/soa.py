@@ -69,6 +69,7 @@ shared state, :class:`SoAState`, is per-design.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -239,7 +240,13 @@ class VectorEvaluator:
     """
 
     def __init__(self, context: "InsertionContext", soa: SoAState):
-        self.context = context
+        # The context owns this evaluator.  A weak back-reference keeps
+        # the pair out of a reference cycle, so an evaluated context and
+        # its caches are freed at once instead of waiting for the cycle
+        # collector.
+        self._context: "weakref.ReferenceType[InsertionContext]" = (
+            weakref.ref(context)
+        )
         self.soa = soa
         self._slices: Dict[Tuple[int, int], _Slice] = {}
         self._segments: Dict[Tuple[int, int], _SegTable] = {}
@@ -272,6 +279,13 @@ class VectorEvaluator:
 
         self._gap_cls = Gap
         self._insertion_cls = EvaluatedInsertion
+
+    @property
+    def context(self) -> "InsertionContext":
+        """The context this evaluator serves; it outlives the evaluator."""
+        context = self._context()
+        assert context is not None, "evaluator used after its context"
+        return context
 
     # ------------------------------------------------------------------
     # Exact evaluation

@@ -90,3 +90,52 @@ class TestReevaluationCounter:
         from repro.checker import check_legal
 
         assert check_legal(placement).is_legal
+
+
+class TestUnchangedRowsSkipTheScan:
+    def test_skipped_scans_agree_with_the_scan(self, monkeypatch):
+        """During a run, every plan whose rows no earlier batch member
+        changed passes the full scan too, so skipping it changes nothing."""
+        from repro.benchgen.synthetic import SyntheticSpec, generate_design
+
+        original = WindowScheduler._still_valid
+        counts = {"checks": 0, "skipped": 0, "invalid": 0}
+
+        def checked(self, target, insertion):
+            scanned = []
+            scan = self._scan_valid
+
+            def counting_scan(planned):
+                scanned.append(True)
+                return scan(planned)
+
+            self._scan_valid = counting_scan
+            try:
+                valid = original(self, target, insertion)
+            finally:
+                del self._scan_valid
+            start, self._batch_versions = self._batch_versions, None
+            try:
+                assert original(self, target, insertion) == valid
+            finally:
+                self._batch_versions = start
+            counts["checks"] += 1
+            counts["skipped"] += not scanned
+            counts["invalid"] += not valid
+            return valid
+
+        monkeypatch.setattr(WindowScheduler, "_still_valid", checked)
+        reevaluations = 0
+        for seed in range(12):
+            design = generate_design(SyntheticSpec(
+                name=f"skip{seed}", cells_by_height={1: 120, 2: 20, 3: 6},
+                density=0.85, seed=seed, with_edge_rules=True,
+                with_rails=True,
+            ))
+            legalizer = MGLegalizer(design, LegalizerParams(
+                scheduler_capacity=32, window_width=8, window_height=3,
+            ))
+            legalizer.run()
+            reevaluations += legalizer.stats["scheduler_reevaluations"]
+        assert 0 < counts["skipped"] < counts["checks"]
+        assert counts["invalid"] == reevaluations > 0

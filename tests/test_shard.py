@@ -5,7 +5,9 @@ The contracts, in order of importance:
 * ``shards=1`` reproduces the unsharded sequential path **bit-exactly**
   (including against the committed bench hashes);
 * for a fixed topology the placement is bit-identical for any worker
-  count — shard workers are an execution detail, never a semantic one;
+  count — shard workers are an execution detail, never a semantic one
+  (``scheduler_workers = N`` asks for N lanes: this process plus
+  N - 1 workers, capped at the shard count);
 * topology invariants: every movable cell lands in exactly one shard,
   fence regions are never split across bands, halos clamp to the chip;
 * sharded placements are legal, and failures (crashed workers,
@@ -103,17 +105,15 @@ def sharded_positions(
     return (list(placement.x), list(placement.y)), legalizer
 
 
-def crash_mid_run(conn):
+def crash_mid_run(conn, init):
     """A shard worker that comes up, then dies on its first work message."""
-    conn.recv()
     conn.send(("ready",))
     conn.recv()
     os._exit(1)
 
 
-def hang_after_handshake(conn):
+def hang_after_handshake(conn, init):
     """A shard worker that comes up, then never answers its work."""
-    conn.recv()
     conn.send(("ready",))
     conn.recv()
     time.sleep(600)  # The pool terminates it on retirement.
@@ -218,15 +218,17 @@ class TestShards1Identity:
 class TestWorkerInvariance:
     def test_fixed_topology_any_worker_count(self, small_design):
         serial, _ = sharded_positions(small_design, shards=3, halo=2, workers=0)
-        for workers in (1, 2):
+        for workers in (1, 2, 3, 4):
             pooled, legalizer = sharded_positions(
                 small_design, shards=3, halo=2, workers=workers
             )
             assert pooled == serial, f"diverged at workers={workers}"
             assert legalizer.stats["shard_worker_failures"] == 0
+            assert legalizer.stats["shard_fallbacks"] == 0
+            # This process is one lane; lanes are capped at the shards.
             assert legalizer.stats["shard_workers_spawned"] == min(
                 workers, legalizer.stats["shard_count"]
-            )
+            ) - 1
 
     @settings(max_examples=3, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -234,12 +236,15 @@ class TestWorkerInvariance:
     def test_worker_invariance_property(self, seed, density):
         design = build_design(seed, density, with_fence=True)
         serial, _ = sharded_positions(design, shards=3, halo=1, workers=0)
-        pooled, _ = sharded_positions(design, shards=3, halo=1, workers=2)
-        assert pooled == serial
+        for workers in (2, 3):
+            pooled, _ = sharded_positions(
+                design, shards=3, halo=1, workers=workers
+            )
+            assert pooled == serial, f"diverged at workers={workers}"
 
     def test_trace_structure_identical_across_workers(self, small_design):
         hashes = []
-        for workers in (0, 2):
+        for workers in (0, 2, 3):
             tracer = SpanTracer()
             params = LegalizerParams(
                 routability=False, shards=3, shard_halo_rows=2,
@@ -251,7 +256,7 @@ class TestWorkerInvariance:
             hashes.append(tracer.structure_hash())
             names = [span.name for span in tracer.roots]
             assert names == ["shard_mgl"]
-        assert hashes[0] == hashes[1]
+        assert hashes[1:] == hashes[:1] * 2
 
 
 class TestShardedLegality:
@@ -304,16 +309,17 @@ class TestFailureFallbacks:
         """Every worker dying still yields the exact serial answer."""
         serial, _ = sharded_positions(small_design, shards=3, halo=2, workers=0)
 
-        def crashing_worker(conn):
+        def crashing_worker(conn, init):
             raise RuntimeError("injected shard worker crash")
 
         monkeypatch.setattr(shard_mod, "shard_worker_main", crashing_worker)
         pooled, legalizer = sharded_positions(
-            small_design, shards=3, halo=2, workers=2
+            small_design, shards=3, halo=2, workers=3
         )
         assert pooled == serial
         assert legalizer.stats["shard_worker_failures"] >= 1
-        assert legalizer.stats["shard_fallbacks"] == 3
+        # Shards 1 and 2, both workers' share, were computed here.
+        assert legalizer.stats["shard_fallbacks"] == 2
 
     def test_spawn_failure_degrades_to_in_process(
         self, small_design, monkeypatch
@@ -325,7 +331,7 @@ class TestFailureFallbacks:
 
         monkeypatch.setattr(parallel_mod, "_pick_context", no_context)
         pooled, legalizer = sharded_positions(
-            small_design, shards=3, halo=2, workers=2
+            small_design, shards=3, halo=2, workers=3
         )
         assert pooled == serial
         assert legalizer.stats["shard_worker_failures"] == 2
@@ -334,14 +340,14 @@ class TestFailureFallbacks:
     def test_retired_workers_hit_the_metrics_registry(
         self, small_design, monkeypatch
     ):
-        def crashing_worker(conn):
+        def crashing_worker(conn, init):
             raise RuntimeError("injected shard worker crash")
 
         monkeypatch.setattr(shard_mod, "shard_worker_main", crashing_worker)
         registry = MetricsRegistry()
         params = LegalizerParams(
             routability=False, shards=3, shard_halo_rows=2,
-            scheduler_workers=2,
+            scheduler_workers=3,
         )
         run_sharded_mgl(
             small_design, params, observer=Observer(metrics=registry)
@@ -354,12 +360,12 @@ class TestFailureFallbacks:
         serial, _ = sharded_positions(small_design, shards=3, halo=2, workers=0)
         monkeypatch.setattr(shard_mod, "shard_worker_main", crash_mid_run)
         pooled, legalizer = sharded_positions(
-            small_design, shards=3, halo=2, workers=2
+            small_design, shards=3, halo=2, workers=3
         )
         assert pooled == serial
         assert legalizer.stats["shard_workers_spawned"] == 2
         assert legalizer.stats["shard_worker_failures"] == 2
-        assert legalizer.stats["shard_fallbacks"] == 3
+        assert legalizer.stats["shard_fallbacks"] == 2
 
     def test_hung_worker_retired_after_timeout(
         self, small_design, monkeypatch
@@ -372,14 +378,14 @@ class TestFailureFallbacks:
         )
         registry = MetricsRegistry()
         pooled, legalizer = sharded_positions(
-            small_design, shards=3, halo=2, workers=2,
+            small_design, shards=3, halo=2, workers=3,
             observer=Observer(metrics=registry),
         )
         assert pooled == serial
         assert legalizer.stats["shard_workers_spawned"] == 2
         assert legalizer.stats["shard_worker_failures"] == 2
         assert registry.counters["shard.worker_retired"] == 2
-        assert legalizer.stats["shard_fallbacks"] == 3
+        assert legalizer.stats["shard_fallbacks"] == 2
 
     def test_unpicklable_share_degrades_to_in_process(
         self, small_design, monkeypatch
@@ -391,12 +397,12 @@ class TestFailureFallbacks:
 
         monkeypatch.setattr(shard_mod.Shard, "__reduce__", refuse)
         pooled, legalizer = sharded_positions(
-            small_design, shards=3, halo=2, workers=2
+            small_design, shards=3, halo=2, workers=3
         )
         assert pooled == serial
         assert legalizer.stats["shard_workers_spawned"] == 2
         assert legalizer.stats["shard_worker_failures"] == 2
-        assert legalizer.stats["shard_fallbacks"] == 3
+        assert legalizer.stats["shard_fallbacks"] == 2
 
 
 class TestObservability:

@@ -30,8 +30,9 @@ in place before ``repro`` imports):
   worker retires and each case must recompute its work in process;
   the result is required to be bit-identical.  Each child reports its
   cases' worker-failure stats, and a pooled case (one with
-  ``scheduler_workers > 0``) that lost no worker under ``crash`` is an
-  internal error — the stub cannot silently stop reaching the pool.
+  ``scheduler_workers > 1``: this process is one of the lanes) that
+  lost no worker under ``crash`` is an internal error — the stub
+  cannot silently stop reaching the pool.
 
 Exit codes: 0 all runs matched, 1 divergence, 2 internal error (a child
 crashed, emitted garbage, the tripwire canary failed to fire, or the
@@ -60,7 +61,8 @@ PERTURBATIONS: Tuple[str, ...] = ("hashseed", "shuffle", "tripwire", "crash")
 #: The corpus: ``(name, SyntheticSpec kwargs, LegalizerParams kwargs)``
 #: per case, each legalized by ``legalize()``.  The first four switch
 #: matching and stage 3 off, leaving MGL alone; ``workers`` and
-#: ``sharded`` run the process pool, one for each of its users;
+#: ``sharded`` run the process pool on three lanes (two workers), one
+#: case for each of its users;
 #: ``full_flow`` runs every default stage.  The cell counts are small
 #: enough that a full matrix run stays interactive.
 _CORPUS_RECIPES: Tuple[Tuple[str, Dict[str, Any], Dict[str, Any]], ...] = (
@@ -82,14 +84,14 @@ _CORPUS_RECIPES: Tuple[Tuple[str, Dict[str, Any], Dict[str, Any]], ...] = (
         "workers",
         dict(name="sanitize-workers", cells_by_height={1: 60},
              density=0.5, seed=17),
-        dict(routability=False, scheduler_capacity=8, scheduler_workers=2,
+        dict(routability=False, scheduler_capacity=8, scheduler_workers=3,
              use_matching=False, use_flow_opt=False),
     ),
     (
         "sharded",
         dict(name="sanitize-sharded", cells_by_height={1: 120, 2: 10},
              density=0.5, seed=19),
-        dict(routability=False, shards=2, scheduler_workers=2,
+        dict(routability=False, shards=3, scheduler_workers=3,
              use_matching=False, use_flow_opt=False),
     ),
     (
@@ -107,10 +109,10 @@ _CORPUS_RECIPES: Tuple[Tuple[str, Dict[str, Any], Dict[str, Any]], ...] = (
 
 CASE_NAMES: Tuple[str, ...] = tuple(name for name, _, _ in _CORPUS_RECIPES)
 
-#: Cases that run the process pool: the ``crash`` stub must reach them.
+#: Cases that start worker processes: the ``crash`` stub must reach them.
 POOLED_CASES: Tuple[str, ...] = tuple(
     name for name, _, params in _CORPUS_RECIPES
-    if params.get("scheduler_workers", 0) > 0
+    if params.get("scheduler_workers", 0) > 1
 )
 
 
@@ -296,7 +298,7 @@ def tripwire_canary() -> bool:
     return routed and reordered
 
 
-def _crashing_worker(conn: Any) -> None:
+def _crashing_worker(conn: Any, init: Any) -> None:
     """Stand-in for a worker entry point that dies before the handshake."""
     conn.close()
 
